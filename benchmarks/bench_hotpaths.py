@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Microbenchmarks for the vectorized per-iteration hot paths.
 
-Times each rewritten accounting kernel against its retained reference
+Times each rewritten accounting kernel and reorder-layer path (Gorder,
+the SAGE round, the COO sort) against its retained reference
 implementation (the pre-optimization formulation kept for the
 equivalence property tests), on inputs shaped like the scale-up tier's
 workloads.  Wall times here are informational — the correctness story is
@@ -31,6 +32,9 @@ from repro.gpusim.memory import (
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
 )
+from repro.graph import datasets
+from repro.graph.coo import COOGraph
+from repro.reorder.gorder import gorder_order, gorder_order_reference
 
 SECTOR_WIDTH = 8
 
@@ -131,12 +135,46 @@ def bench_reorder(rng, repeats: int, n_edges: int) -> None:
     edge_dst = rng.integers(0, num_nodes, size=n_edges)
     starts = np.arange(0, n_edges, 64, dtype=np.int64)
 
-    def run():
-        reorderer = SamplingReorderer(num_nodes, threshold_edges=1, seed=3)
-        reorderer.observe(edge_dst, starts)
-        reorderer.compute_round()
+    def timed_round(method: str) -> float:
+        # Observation is set-up, not the rewrite under test: time only
+        # the round itself (a round consumes its samples).
+        best = float("inf")
+        for _ in range(repeats):
+            reorderer = SamplingReorderer(num_nodes, threshold_edges=1, seed=3)
+            reorderer.observe(edge_dst, starts)
+            best = min(best, _best_of(getattr(reorderer, method), 1))
+        return best
 
-    _row("reorder compute_round", n_edges, _best_of(run, repeats), None)
+    new_s = timed_round("compute_round")
+    ref_s = timed_round("compute_round_reference")
+    _row("reorder compute_round", n_edges, new_s, ref_s)
+
+
+def bench_coo_sorted(rng, repeats: int, n_edges: int) -> None:
+    num_nodes = max(2, n_edges // 8)
+    coo = COOGraph(
+        num_nodes,
+        rng.integers(0, num_nodes, size=n_edges),
+        rng.integers(0, num_nodes, size=n_edges),
+    )
+
+    def lexsorted():
+        order = np.lexsort((coo.dst, coo.src))
+        return COOGraph(num_nodes, coo.src[order], coo.dst[order])
+
+    new_s = _best_of(coo.sorted, repeats)
+    ref_s = _best_of(lexsorted, repeats)
+    _row("COOGraph.sorted (vs lexsort)", n_edges, new_s, ref_s)
+
+
+def bench_gorder(repeats: int, scale: float) -> None:
+    # Gorder's cost follows graph structure (hubs, sibling fan-out), so
+    # time it on a dataset stand-in, not random edges; one run of the
+    # slow reference is enough to see the gap.
+    graph = datasets.twitter_like(scale).graph
+    new_s = _best_of(lambda: gorder_order(graph), repeats)
+    ref_s = _best_of(lambda: gorder_order_reference(graph), 1)
+    _row("gorder_order (twitter stand-in)", graph.num_edges, new_s, ref_s)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,6 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     bench_tiling(rng, repeats, 62_500 * scale)
     bench_sampling(rng, repeats, 125_000 * scale)
     bench_reorder(rng, repeats, 125_000 * scale)
+    bench_coo_sorted(rng, repeats, 125_000 * scale)
+    bench_gorder(repeats, 0.1 if args.quick else 0.5)
     return 0
 
 

@@ -25,6 +25,7 @@ One *round* completes when the sampler has observed ``threshold`` edges
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.core.sampling import TileAccessSampler
 from repro.errors import InvalidParameterError
 from repro.gpusim.cost import KernelStats, even_placement
 from repro.gpusim.spec import GPUSpec
+from repro.graph.coo import sort_composite_keys
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 
@@ -114,6 +116,17 @@ class SamplingReorderer:
         Returns the permutation (``new_id = perm[old_id]``); identity when
         no improving move was found.  Samples are cleared afterwards.
         """
+        return self._round(self._stages)
+
+    def compute_round_reference(self) -> RoundOutcome:
+        """:meth:`compute_round` with per-level pair masks and bincounts.
+
+        The pre-optimization formulation, kept as the equivalence oracle;
+        it returns the same permutation and counters.
+        """
+        return self._round(self._stages_reference)
+
+    def _round(self, stages: Callable[..., tuple[np.ndarray, ...]]) -> RoundOutcome:
         u, co = self.sampler.pairs()
         sampled_tiles = self.sampler.sampled_tiles
         n = self.num_nodes
@@ -124,27 +137,7 @@ class SamplingReorderer:
                 np.arange(n, dtype=np.int64), 0, sampled_tiles, 0
             )
 
-        # All three stages count per sampled node only, so they run over
-        # compacted ids: ``nodes`` (the sorted distinct sampled nodes)
-        # indexes every bincount of length ``nodes.size`` instead of
-        # scatter-adds into |V|-sized arrays.
-        nodes = np.unique(u)
-        u_c = np.searchsorted(nodes, u)
-        m = nodes.size
-
-        # Stage 1: locality of the current index, from the same samples
-        # Stage 3 will use (apples-to-apples comparison).
-        current_sector_lo = (u // w) * w
-        in_current = (co >= current_sector_lo) & (co < current_sector_lo + w)
-        old_locality = np.bincount(u_c[in_current], minlength=m)
-
-        # Stage 2: per-node binary search toward the majority half.
-        candidate_lo = self._binary_search_sectors(u_c, co, m)
-
-        # Stage 3: locality at the candidate sector, same samples.
-        cand_lo_per_pair = candidate_lo[u_c]
-        in_cand = (co >= cand_lo_per_pair) & (co < cand_lo_per_pair + w)
-        new_locality = np.bincount(u_c[in_cand], minlength=m)
+        nodes, old_locality, candidate_lo, new_locality = stages(u, co)
 
         # Commit rule: move only nodes whose locality improves by a
         # clear margin (damping, see module docstring).
@@ -166,17 +159,93 @@ class SamplingReorderer:
         self.metrics.count("reorder.sampled_tiles", sampled_tiles)
         return RoundOutcome(perm, moved, sampled_tiles, pairs)
 
+    def _stages(
+        self, u: np.ndarray, co: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Stages 1-3 over one sort of the ``(owner, co-member)`` pairs.
+
+        Returns ``(nodes, old_locality, candidate_lo, new_locality)``
+        indexed by the sorted distinct sampled nodes ``nodes``.  With
+        the composite keys ``owner * n + co`` sorted, a node's sampled
+        co-members in ``[a, b)`` number ``P(b) - P(a)``, where ``P(x)``
+        is the ``searchsorted`` position of ``owner * n + x``.  After the
+        one sort, every count below is a difference of two positions per
+        sampled node, not a mask and bincount over all pairs.
+        """
+        n = self.num_nodes
+        w = self.spec.sector_width
+        keys = sort_composite_keys(u, co, n)
+        per_node = np.bincount(u, minlength=n)
+        nodes = np.flatnonzero(per_node)
+        base = nodes * n
+        # Key positions of each node's first and one-past-last pair.
+        p_hi = np.cumsum(per_node[nodes])
+        p_lo = p_hi - per_node[nodes]
+
+        def count(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            return np.searchsorted(keys, base + hi) - np.searchsorted(keys, base + lo)
+
+        # Stage 1: locality of the current index, from the same samples
+        # Stage 3 will use (apples-to-apples comparison).  Sector bounds
+        # clamp to n so they never reach the next owner's keys.
+        current_lo = (nodes // w) * w
+        old_locality = count(current_lo, np.minimum(current_lo + w, n))
+
+        # Stage 2: per-node binary search toward the majority half
+        # (ties keep the left half) until ranges shrink to one sector.
+        # p_lo / p_hi track the key positions of the range ends, so only
+        # the midpoint needs a search per level.
+        m = nodes.size
+        lo = np.zeros(m, dtype=np.int64)
+        hi = np.full(m, n, dtype=np.int64)
+        while True:
+            idx = np.flatnonzero(hi - lo > w)
+            if idx.size == 0:
+                break
+            mid = (lo[idx] + hi[idx]) // 2
+            p_mid = np.searchsorted(keys, base[idx] + mid)
+            right = p_hi[idx] - p_mid > p_mid - p_lo[idx]
+            go_right, go_left = idx[right], idx[~right]
+            lo[go_right] = mid[right]
+            p_lo[go_right] = p_mid[right]
+            hi[go_left] = mid[~right]
+            p_hi[go_left] = p_mid[~right]
+        candidate_lo = (lo // w) * w
+
+        # Stage 3: locality at the candidate sector, same samples.
+        new_locality = count(candidate_lo, np.minimum(candidate_lo + w, n))
+        return nodes, old_locality, candidate_lo, new_locality
+
+    def _stages_reference(
+        self, u: np.ndarray, co: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Stages 1-3 as per-pair masks and bincounts over compacted ids."""
+        w = self.spec.sector_width
+        nodes = np.unique(u)
+        u_c = np.searchsorted(nodes, u)
+        m = nodes.size
+
+        current_sector_lo = (u // w) * w
+        in_current = (co >= current_sector_lo) & (co < current_sector_lo + w)
+        old_locality = np.bincount(u_c[in_current], minlength=m)
+
+        candidate_lo = self._binary_search_sectors(u_c, co, m)
+
+        cand_lo_per_pair = candidate_lo[u_c]
+        in_cand = (co >= cand_lo_per_pair) & (co < cand_lo_per_pair + w)
+        new_locality = np.bincount(u_c[in_cand], minlength=m)
+        return nodes, old_locality, candidate_lo, new_locality
+
     def _binary_search_sectors(
         self, u_c: np.ndarray, co: np.ndarray, m: int
     ) -> np.ndarray:
-        """Stage 2 for all sampled nodes simultaneously.
+        """Stage 2 of :meth:`_stages_reference` for all sampled nodes.
 
         Every node starts with the whole id range; each level counts its
         sampled co-members in the two halves and keeps the fuller one
         (ties keep the left half), until ranges shrink to one sector.
         ``u_c`` holds compacted pair owners (indices into the distinct
-        sampled-node array of size ``m``); counting per level is one
-        ``bincount`` of length ``m``, not a |V|-sized scatter-add.
+        sampled-node array of size ``m``).
         """
         n = self.num_nodes
         w = self.spec.sector_width

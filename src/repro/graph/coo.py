@@ -8,6 +8,7 @@ which :class:`~repro.graph.csr.CSRGraph` is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,43 @@ import numpy as np
 from repro.errors import GraphFormatError
 
 EDGE_DTYPE = np.int64
+
+#: largest node count whose composite keys ``major * n + minor`` fit int64
+MAX_COMPOSITE_NODES = math.isqrt(np.iinfo(np.int64).max)
+
+
+def sort_composite_keys(major: np.ndarray, minor: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Sorted composite keys ``major * num_nodes + minor`` of node-id pairs.
+
+    One in-place ``np.sort`` of a single int64 array orders the pairs by
+    ``(major, minor)``, replacing a two-key ``np.lexsort``.  On the
+    result, ``np.searchsorted`` counts a major id's minors in any range
+    ``[a, b)`` with ``0 <= a <= b <= num_nodes``, and
+    :func:`split_composite_keys` recovers the sorted pairs.
+
+    Raises:
+        GraphFormatError: ``num_nodes`` is too large for the keys to fit
+            int64 (above :data:`MAX_COMPOSITE_NODES`).
+    """
+    if num_nodes > MAX_COMPOSITE_NODES:
+        raise GraphFormatError(
+            f"num_nodes {num_nodes} exceeds {MAX_COMPOSITE_NODES}: "
+            "composite (major, minor) keys would overflow int64"
+        )
+    keys = np.asarray(major, dtype=EDGE_DTYPE) * num_nodes
+    keys += np.asarray(minor, dtype=EDGE_DTYPE)
+    keys.sort()
+    return keys
+
+
+def split_composite_keys(keys: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert :func:`sort_composite_keys`: ``(major, minor)`` per key."""
+    if num_nodes == 0:
+        # No node ids, so no keys; avoid dividing by zero.
+        return keys.copy(), keys.copy()
+    # Floor division plus a multiply-subtract beats np.divmod on int64.
+    major = keys // num_nodes
+    return major, keys - major * num_nodes
 
 
 @dataclass(frozen=True)
@@ -60,17 +98,15 @@ class COOGraph:
 
     def sorted(self) -> "COOGraph":
         """Return a copy with edges sorted by (src, dst)."""
-        order = np.lexsort((self.dst, self.src))
-        return COOGraph(self.num_nodes, self.src[order], self.dst[order])
+        keys = sort_composite_keys(self.src, self.dst, self.num_nodes)
+        return COOGraph(self.num_nodes, *split_composite_keys(keys, self.num_nodes))
 
     def deduplicated(self) -> "COOGraph":
         """Return a sorted copy with duplicate edges removed."""
-        g = self.sorted()
-        if g.num_edges == 0:
-            return g
-        keep = np.ones(g.num_edges, dtype=bool)
-        keep[1:] = (np.diff(g.src) != 0) | (np.diff(g.dst) != 0)
-        return COOGraph(g.num_nodes, g.src[keep], g.dst[keep])
+        keys = sort_composite_keys(self.src, self.dst, self.num_nodes)
+        keep = np.ones(keys.size, dtype=bool)
+        keep[1:] = keys[1:] != keys[:-1]
+        return COOGraph(self.num_nodes, *split_composite_keys(keys[keep], self.num_nodes))
 
     def without_self_loops(self) -> "COOGraph":
         """Return a copy with self loops removed."""

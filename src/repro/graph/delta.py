@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.coo import EDGE_DTYPE
+from repro.graph.coo import EDGE_DTYPE, sort_composite_keys, split_composite_keys
 from repro.graph.csr import CSRGraph
 
 
@@ -209,11 +209,9 @@ def apply_edge_updates(
         keep_add = ~np.isin(add_src * n + add_dst, del_keys)
         add_src, add_dst = add_src[keep_add], add_dst[keep_add]
     if add_src.size:
-        order = np.lexsort((add_dst, add_src))
-        add_src, add_dst = add_src[order], add_dst[order]
-        merged_keys = _merge_sorted(src * n + dst, add_src * n + add_dst)
-        src = merged_keys // n
-        dst = merged_keys % n
+        add_keys = sort_composite_keys(add_src, add_dst, n)
+        add_src, add_dst = split_composite_keys(add_keys, n)
+        src, dst = split_composite_keys(_merge_sorted(src * n + dst, add_keys), n)
     else:
         add_src, add_dst = empty, empty.copy()
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph.coo import COOGraph
+from repro.graph.coo import (
+    MAX_COMPOSITE_NODES, COOGraph, sort_composite_keys, split_composite_keys,
+)
 
 
 def make(src, dst, n=10):
@@ -50,6 +52,42 @@ class TestTransformations:
         g = make([2, 0, 1, 0], [0, 3, 1, 1]).sorted()
         assert g.src.tolist() == [0, 0, 1, 2]
         assert g.dst.tolist() == [1, 3, 1, 0]
+
+    def test_sorted_zero_nodes(self):
+        g = COOGraph(0, np.array([]), np.array([])).sorted()
+        assert g.num_nodes == 0
+        assert g.num_edges == 0
+
+    def test_sorted_keeps_duplicates(self):
+        g = make([3, 1, 3, 1, 3], [2, 0, 2, 0, 1]).sorted()
+        assert g.src.tolist() == [1, 1, 3, 3, 3]
+        assert g.dst.tolist() == [0, 0, 1, 2, 2]
+
+    def test_composite_keys(self):
+        keys = sort_composite_keys(np.array([2, 0, 2]), np.array([1, 4, 0]), 5)
+        assert keys.tolist() == [4, 10, 11]
+        major, minor = split_composite_keys(keys, 5)
+        assert major.tolist() == [0, 2, 2]
+        assert minor.tolist() == [4, 0, 1]
+
+    def test_composite_keys_zero_nodes(self):
+        empty = np.array([], dtype=np.int64)
+        keys = sort_composite_keys(empty, empty, 0)
+        assert keys.size == 0
+        assert [a.size for a in split_composite_keys(keys, 0)] == [0, 0]
+
+    def test_composite_key_overflow_guard(self):
+        # The largest key, (n - 1) * n + (n - 1), still fits int64 at
+        # the limit and would not one node later.
+        top = MAX_COMPOSITE_NODES - 1
+        keys = sort_composite_keys(np.array([top]), np.array([top]),
+                                   MAX_COMPOSITE_NODES)
+        assert keys[0] == MAX_COMPOSITE_NODES**2 - 1
+        with pytest.raises(GraphFormatError, match="overflow"):
+            sort_composite_keys(np.array([0]), np.array([1]),
+                                MAX_COMPOSITE_NODES + 1)
+        with pytest.raises(GraphFormatError):
+            make([0], [1], n=3_037_000_500).sorted()
 
     def test_deduplicated(self):
         g = make([0, 0, 0, 1], [1, 1, 2, 0]).deduplicated()

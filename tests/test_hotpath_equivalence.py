@@ -5,7 +5,10 @@ formulation as an importable reference; these properties assert the
 rewritten kernels are *bit-for-bit identical* to those references —
 including the shapes perf rewrites classically get wrong: empty
 segments, single-node frontiers, all-duplicate destinations, degree-0
-hubs, and LRU batches that straddle the internal chunk boundary.
+hubs, and LRU batches that straddle the internal chunk boundary.  The
+reorder-layer rewrites (Gorder, the SAGE round, the composite-key COO
+sort) are held to the same standard: identical permutations, counters
+and arrays.
 """
 
 import numpy as np
@@ -13,13 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tiling import decompose_frontier, decompose_frontier_reference
+from repro.core.reorder import SamplingReorderer
+from repro.core.tiling import DEFAULT_MIN_TILE, decompose_frontier, decompose_frontier_reference
 from repro.gpusim.memory import (
     LRUCacheModel,
     ReferenceLRUCache,
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
 )
+from repro.gpusim.spec import GPUSpec
+from repro.graph import datasets
+from repro.graph.coo import COOGraph
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import complete_graph
+from repro.obs import MetricsRegistry
+from repro.reorder.gorder import gorder_order, gorder_order_reference
 
 
 def segmented_case():
@@ -181,3 +192,120 @@ class TestDecomposeFrontierEquivalence:
         _assert_decompositions_equal(fast, decompose_frontier_reference(degrees, 512))
         covered = np.union1d(fast.tile_frontier_idx, fast.fragment_frontier_idx)
         np.testing.assert_array_equal(covered, [1, 4, 6])
+
+
+@st.composite
+def edge_lists(draw, max_nodes=24, max_edges=60):
+    """(n, src, dst): duplicate edges, self loops and isolated nodes allowed."""
+    n = draw(st.integers(1, max_nodes), label="n")
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=max_edges), label="edges")
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    return n, src, dst
+
+
+class TestGorderEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(edge_lists(), st.sampled_from([1, 5]))
+    def test_matches_reference(self, case, window):
+        # Few edges over many nodes leave isolated nodes, so the
+        # drained-queue fallback runs mid-order, not only at the end.
+        n, src, dst = case
+        graph = CSRGraph.from_edges(n, src, dst)
+        np.testing.assert_array_equal(
+            gorder_order(graph, window), gorder_order_reference(graph, window)
+        )
+
+    @pytest.mark.parametrize("window", [1, 5])
+    @pytest.mark.parametrize(
+        "src, dst, n",
+        [([], [], 1), ([0], [0], 1), ([], [], 2), ([1], [0], 2), ([0, 1], [1, 0], 2)],
+    )
+    def test_one_and_two_nodes(self, src, dst, n, window):
+        graph = CSRGraph.from_edges(n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64))
+        np.testing.assert_array_equal(
+            gorder_order(graph, window), gorder_order_reference(graph, window)
+        )
+
+    def test_hub_sampling_caps(self):
+        # 79 predecessors and ~5000 sibling candidates per node: both
+        # fan-out caps (64 predecessors, 512 siblings) are active.
+        graph = complete_graph(80)
+        np.testing.assert_array_equal(gorder_order(graph), gorder_order_reference(graph))
+
+    @pytest.mark.parametrize("dataset", datasets.full_suite(0.05), ids=lambda ds: ds.name)
+    def test_dataset_stand_ins(self, dataset):
+        np.testing.assert_array_equal(
+            gorder_order(dataset.graph), gorder_order_reference(dataset.graph)
+        )
+
+
+def _observe_sweep(reorderer: SamplingReorderer, graph: CSRGraph) -> None:
+    """One full-graph sweep of tile accesses, as ``sage_reorder_rounds`` feeds."""
+    degrees = graph.out_degrees()
+    decomp = decompose_frontier(degrees, reorderer.spec.block_size, DEFAULT_MIN_TILE)
+    reorderer.observe(graph.targets, decomp.segment_starts(np.cumsum(degrees) - degrees))
+
+
+def _paired_reorderers(n: int, seed: int, **kwargs):
+    """Two reorderers with the same sampling stream, each with its own registry."""
+    return tuple(
+        SamplingReorderer(n, GPUSpec(), seed=seed, metrics=MetricsRegistry(), **kwargs)
+        for _ in range(2)
+    )
+
+
+def _assert_rounds_equal(fast, ref):
+    def counts(outcome):
+        return outcome.moved_nodes, outcome.sampled_tiles, outcome.sampled_pairs
+
+    np.testing.assert_array_equal(fast.perm, ref.perm)
+    assert counts(fast) == counts(ref)
+
+
+class TestComputeRoundEquivalence:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(0, 2**31),
+        st.sampled_from([3, 7, 64]),
+        st.integers(0, 6),
+    )
+    def test_matches_reference(self, n, seed, tile, min_gain):
+        # n spans ranges below one sector and ids not a multiple of the
+        # sector width, so the sector bounds clamp at n.
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, size=int(rng.integers(0, 6 * n + 2)))
+        starts = np.arange(0, max(edges.size, 1), tile, dtype=np.int64)
+        fast, ref = _paired_reorderers(n, seed % 1000, threshold_edges=1, min_gain=min_gain)
+        fast.observe(edges, starts)
+        ref.observe(edges, starts)
+        _assert_rounds_equal(fast.compute_round(), ref.compute_round_reference())
+        assert fast.metrics.counters == ref.metrics.counters
+
+    @pytest.mark.parametrize("dataset", datasets.full_suite(0.1), ids=lambda ds: ds.name)
+    def test_three_rounds_on_stand_ins(self, dataset):
+        graph = dataset.graph
+        fast, ref = _paired_reorderers(graph.num_nodes, 0, threshold_edges=graph.num_edges)
+        fast_graph = ref_graph = graph
+        for _ in range(3):
+            _observe_sweep(fast, fast_graph)
+            _observe_sweep(ref, ref_graph)
+            outcome = fast.compute_round()
+            _assert_rounds_equal(outcome, ref.compute_round_reference())
+            fast_graph = fast_graph.permute(outcome.perm)
+            ref_graph = ref_graph.permute(outcome.perm)
+        assert fast.metrics.counters["reorder.moved_nodes"] > 0
+        assert fast.metrics.counters == ref.metrics.counters
+
+
+class TestCOOSortedEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(edge_lists(max_nodes=40, max_edges=120))
+    def test_matches_lexsort(self, case):
+        n, src, dst = case
+        got = COOGraph(n, src, dst).sorted()
+        order = np.lexsort((dst, src))
+        np.testing.assert_array_equal(got.src, src[order])
+        np.testing.assert_array_equal(got.dst, dst[order])
