@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Microbenchmarks for the vectorized per-iteration hot paths.
 
-Times each rewritten accounting kernel and reorder-layer path (Gorder,
-the SAGE round, the COO sort) against its retained reference
+Times each rewritten accounting kernel, per-iteration traversal path
+(the segment plan, contraction) and reorder-layer path (Gorder, the SAGE
+round, the COO sort) against its retained reference
 implementation (the pre-optimization formulation kept for the
 equivalence property tests), on inputs shaped like the scale-up tier's
 workloads.  Wall times here are informational — the correctness story is
@@ -23,9 +24,10 @@ import time
 
 import numpy as np
 
+from repro.apps.base import contract
 from repro.core.reorder import SamplingReorderer
 from repro.core.sampling import TileAccessSampler
-from repro.core.tiling import decompose_frontier, decompose_frontier_reference
+from repro.core.tiling import decompose_frontier, decompose_frontier_reference, segment_plan
 from repro.gpusim.memory import (
     LRUCacheModel,
     ReferenceLRUCache,
@@ -109,13 +111,44 @@ def bench_lru(rng, repeats: int, n_accesses: int) -> None:
         _row(label, n_accesses, _best_of(run_new, repeats), _best_of(run_ref, repeats))
 
 
+def _zipf_degrees(rng, n_nodes: int) -> np.ndarray:
+    # Power-law degrees bounded like a real graph's hubs.
+    return np.minimum(rng.zipf(1.5, size=n_nodes).astype(np.int64), 4096)
+
+
 def bench_tiling(rng, repeats: int, n_nodes: int) -> None:
-    # Power-law degrees bounded like a real graph's: many nodes share
-    # few distinct degrees, which the histogram decomposition exploits.
-    degrees = np.minimum(rng.zipf(1.5, size=n_nodes).astype(np.int64), 4096)
+    degrees = _zipf_degrees(rng, n_nodes)
     new_s = _best_of(lambda: decompose_frontier(degrees, 512), repeats)
     ref_s = _best_of(lambda: decompose_frontier_reference(degrees, 512), repeats)
     _row("decompose_frontier", n_nodes, new_s, ref_s)
+
+
+def bench_segment_plan(rng, repeats: int, n_nodes: int) -> None:
+    # What the engine needs per kernel: sorted segment starts, sizes and
+    # per-node counts.  The reference derives them from the per-tile
+    # decomposition by a concatenate and a sort.
+    degrees = _zipf_degrees(rng, n_nodes)
+    cum_degrees = np.cumsum(degrees) - degrees
+
+    def reference():
+        decomp = decompose_frontier_reference(degrees, 512)
+        starts = decomp.segment_starts(cum_degrees)
+        np.diff(np.append(starts, cum_degrees[-1] + degrees[-1]))
+        np.bincount(decomp.tile_frontier_idx, minlength=n_nodes)
+        np.bincount(decomp.fragment_frontier_idx, minlength=n_nodes)
+
+    reps = repeats * max(1, 20_000 // n_nodes)
+    new_s = _best_of(lambda: segment_plan(degrees, 512), reps)
+    ref_s = _best_of(reference, reps)
+    _row("segment_plan", n_nodes, new_s, ref_s)
+
+
+def bench_contract(rng, repeats: int, n_candidates: int) -> None:
+    # A BFS level's filtered neighbors: dense node ids, many duplicates.
+    candidates = rng.integers(0, n_candidates // 4, size=n_candidates)
+    new_s = _best_of(lambda: contract(candidates), repeats)
+    ref_s = _best_of(lambda: np.unique(candidates), repeats)
+    _row("contract (vs np.unique)", n_candidates, new_s, ref_s)
 
 
 def bench_sampling(rng, repeats: int, n_edges: int) -> None:
@@ -192,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     bench_sampling(rng, repeats, 125_000 * scale)
     bench_reorder(rng, repeats, 125_000 * scale)
     bench_coo_sorted(rng, repeats, 125_000 * scale)
+    bench_segment_plan(rng, repeats, 1_000)
+    bench_segment_plan(rng, repeats, 12_500 * scale)
+    bench_contract(rng, repeats, 125_000 * scale)
     bench_gorder(repeats, 0.1 if args.quick else 0.5)
     return 0
 

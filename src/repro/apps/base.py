@@ -108,7 +108,20 @@ class App(ABC):
 
 
 def contract(candidates: np.ndarray) -> np.ndarray:
-    """Contraction step: dedupe and sort a candidate frontier."""
+    """Contraction step: dedupe and sort a candidate frontier.
+
+    Equal to ``np.unique(candidates)``.  Node ids are dense, so a bitmap
+    over ``[0, max]`` dedupes in O(m + max id) instead of sorting; ranges
+    too sparse for that (the density rule of
+    :func:`repro.gpusim.memory.distinct_count`) or negative ids fall
+    back to ``np.unique``.
+    """
     if candidates.size == 0:
         return candidates.astype(np.int64)
+    if candidates.dtype.kind in "iu":
+        top = int(candidates.max())
+        if top <= 16 * candidates.size + 1024 and candidates.min() >= 0:
+            seen = np.zeros(top + 1, dtype=bool)
+            seen[candidates] = True
+            return np.flatnonzero(seen).astype(candidates.dtype, copy=False)
     return np.unique(candidates)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import App, contract
+from repro.apps.base import App
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 
@@ -81,7 +81,7 @@ class MultiSourceBFSApp(App):
                 hit = changed[(gained_bits & bit) != 0]
                 self.levels[s, hit] = self._level
             self.mask[changed] |= gained[changed]
-        return contract(changed)
+        return changed  # flatnonzero: already sorted and unique
 
     def result(self) -> dict[str, np.ndarray]:
         assert self.mask is not None and self.levels is not None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.reorder import SamplingReorderer
-from repro.core.tiling import DEFAULT_MIN_TILE, decompose_frontier
+from repro.core.tiling import DEFAULT_MIN_TILE, segment_plan
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.spec import GPUSpec
@@ -84,12 +84,9 @@ def sage_reorder_rounds(
     out = ReorderRounds()
     for round_no in range(1, rounds + 1):
         started = time.perf_counter()
-        degrees = current.out_degrees()
-        decomp = decompose_frontier(degrees, spec.block_size, min_tile)
-        cum_deg = np.cumsum(degrees) - degrees
-        seg_starts = decomp.segment_starts(cum_deg)
+        plan = segment_plan(current.out_degrees(), spec.block_size, min_tile)
         # Full sweep in id order: the expanded edge array is `targets`.
-        reorderer.observe(current.targets, seg_starts)
+        reorderer.observe(current.targets, plan.starts)
         outcome = reorderer.compute_round()
         if not outcome.is_identity:
             current = current.permute(outcome.perm)

@@ -11,9 +11,11 @@ from repro.core.sampling import TileAccessSampler, exact_locality_counts
 from repro.core.scheduler import ReorderCommit, Scheduler
 from repro.core.tiling import (
     DEFAULT_MIN_TILE,
+    SegmentPlan,
     TileDecomposition,
     decompose_degree,
     decompose_frontier,
+    segment_plan,
     tile_size_levels,
 )
 
@@ -30,6 +32,7 @@ __all__ = [
     "SageScheduler",
     "SamplingReorderer",
     "Scheduler",
+    "SegmentPlan",
     "TileAccessSampler",
     "TileDecomposition",
     "TraversalPipeline",
@@ -38,5 +41,6 @@ __all__ = [
     "decompose_frontier",
     "exact_locality_counts",
     "run_app",
+    "segment_plan",
     "tile_size_levels",
 ]

@@ -35,10 +35,15 @@ from repro.core.scheduler import (
     csr_gather_sectors,
     value_sector_accounting,
 )
-from repro.core.tiling import DEFAULT_MIN_TILE, TileDecomposition, decompose_frontier
+from repro.core.tiling import DEFAULT_MIN_TILE, SegmentPlan, segment_plan
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cost import KernelStats, block_placement, even_placement
-from repro.gpusim.memory import segmented_distinct_sectors
+from repro.gpusim.memory import segmented_distinct_total
+
+# Layer tracers wrap these two by name on this module; the engine itself
+# runs on segment_plan and segmented_distinct_total.
+from repro.core.tiling import decompose_frontier  # noqa: F401
+from repro.gpusim.memory import segmented_distinct_sectors  # noqa: F401
 from repro.gpusim.spec import GPUSpec
 
 # Scheduling-cost constants (lane-cycles per work item).
@@ -85,8 +90,7 @@ class SageScheduler(Scheduler):
         self._store: ResidentTileStore | None = None
         self._reorderer: SamplingReorderer | None = None
         self._decomp_memo: OrderedDict[
-            tuple[str, bytes],
-            tuple[TileDecomposition, np.ndarray, np.ndarray, int],
+            tuple[str, bytes], tuple[SegmentPlan, int]
         ] = OrderedDict()
         self._edge_memo: OrderedDict[
             tuple[tuple[str, bytes], bytes], tuple[int, SectorAccounting]
@@ -158,13 +162,11 @@ class SageScheduler(Scheduler):
 
     def _decompose_cached(
         self, degrees: np.ndarray
-    ) -> tuple[
-        tuple[str, bytes], TileDecomposition, np.ndarray, np.ndarray, int
-    ]:
-        """Decomposition, segment starts, per-node tile counts and CSR
-        gather sectors of one frontier, memoized on its degree signature.
+    ) -> tuple[tuple[str, bytes], SegmentPlan, int]:
+        """Segment plan and CSR gather sectors of one frontier, memoized
+        on its degree signature.
 
-        All four are pure functions of the degree array (block size, min
+        Both are pure functions of the degree array (block size, min
         tile and alignment are fixed per scheduler), so repeated frontier
         degree signatures — every iteration of a full-frontier app — hit
         the memo instead of recomputing.  Returns the memo key first so
@@ -176,20 +178,14 @@ class SageScheduler(Scheduler):
             self._decomp_memo.move_to_end(key)
             self.metrics.count("sage.decomp_cache_hits")
             return (key, *cached)
-        decomp = decompose_frontier(degrees, self.spec.block_size, self.min_tile)
-        cum_deg = np.cumsum(degrees) - degrees
-        seg_starts = decomp.segment_starts(cum_deg)
-        tiles_per_node = np.bincount(
-            decomp.tile_frontier_idx, minlength=degrees.size
-        ) + np.bincount(decomp.fragment_frontier_idx, minlength=degrees.size)
-        seg_sizes = np.diff(np.append(seg_starts, int(degrees.sum())))
+        plan = segment_plan(degrees, self.spec.block_size, self.min_tile)
         csr_sectors = csr_gather_sectors(
-            seg_sizes, self.spec, aligned=self.tile_alignment
+            plan.sizes, self.spec, aligned=self.tile_alignment
         )
-        self._decomp_memo[key] = (decomp, seg_starts, tiles_per_node, csr_sectors)
+        self._decomp_memo[key] = (plan, csr_sectors)
         if len(self._decomp_memo) > DECOMP_MEMO_ENTRIES:
             self._decomp_memo.popitem(last=False)
-        return key, decomp, seg_starts, tiles_per_node, csr_sectors
+        return key, plan, csr_sectors
 
     def _edge_accounting(
         self,
@@ -214,10 +210,10 @@ class SageScheduler(Scheduler):
             self.metrics.count("sage.edge_accounting_cache_hits")
             return cached
         acct = SectorAccounting(edge_dst, self.spec.sector_width)
-        per_segment = segmented_distinct_sectors(
-            edge_dst, seg_starts, self.spec.sector_width, presorted=True
+        total = segmented_distinct_total(
+            edge_dst, seg_starts, self.spec.sector_width
         )
-        entry = (int(per_segment.sum()), acct)
+        entry = (total, acct)
         self._edge_memo[key] = entry
         if len(self._edge_memo) > DECOMP_MEMO_ENTRIES:
             self._edge_memo.popitem(last=False)
@@ -232,15 +228,14 @@ class SageScheduler(Scheduler):
         app: App,
     ) -> KernelStats:
         spec = self.spec
-        degrees_key, decomp, seg_starts, tiles_per_node, csr_sectors = (
-            self._decompose_cached(degrees)
-        )
+        degrees_key, plan, csr_sectors = self._decompose_cached(degrees)
+        seg_starts = plan.starts
         if self.sanitizer is not None:
             # Audit the scheduled work units: tiles + fragments must
             # cover the expanded batch exactly (a decomposition gap
             # would silently drop or double-count edges in accounting).
             self.sanitizer.check_work_units(
-                decomp.tile_sizes, decomp.fragment_sizes, edge_dst.size
+                plan.tile_sizes, plan.fragment_sizes, edge_dst.size
             )
         raw_touches, acct = self._edge_accounting(degrees_key, edge_dst, seg_starts)
         touches, unique = value_sector_accounting(
@@ -253,17 +248,17 @@ class SageScheduler(Scheduler):
         issued = active  # power-of-two tiles are divergence-free
         num_blocks = max(1, -(-frontier.size // spec.block_size))
         warps_per_block = spec.block_size // spec.warp_size
-        total_tiles = decomp.num_tiles + decomp.fragment_frontier_idx.size
+        total_tiles = plan.num_tiles + plan.num_fragments
 
         if self.resident_stealing:
             assert self._store is not None
-            _, new_nodes, new_tiles = self._store.visit(frontier, tiles_per_node)
+            _, new_nodes, new_tiles = self._store.visit(frontier, plan.counts)
             # Scheduling decisions are resident: new nodes pay the tile
             # write; everything else is a cheap queue pop.
             overhead_work = (
                 new_tiles * TILE_WRITE_CYCLES
                 + total_tiles * TILE_CONSUME_CYCLES
-                + decomp.fragment_frontier_idx.size * FRAGMENT_SETUP_CYCLES
+                + plan.num_fragments * FRAGMENT_SETUP_CYCLES
             )
             self.metrics.count("sage.tiles", total_tiles)
             self.metrics.count("sage.tiles_expanded", new_tiles)
@@ -277,13 +272,13 @@ class SageScheduler(Scheduler):
             # Dynamic scheduling repeats every visit; tiles are consumed
             # sequentially inside their owner block (Figure 4a).
             overhead_work = (
-                decomp.elections * ELECTION_CYCLES
-                + decomp.num_tiles * TILE_ROUND_CYCLES
-                + num_blocks * decomp.levels * PARTITION_CYCLES
-                + decomp.fragment_frontier_idx.size * FRAGMENT_SETUP_CYCLES
+                plan.elections * ELECTION_CYCLES
+                + plan.num_tiles * TILE_ROUND_CYCLES
+                + num_blocks * plan.levels * PARTITION_CYCLES
+                + plan.num_fragments * FRAGMENT_SETUP_CYCLES
             )
             self.metrics.count("sage.tiles", total_tiles)
-            self.metrics.count("sage.elections", decomp.elections)
+            self.metrics.count("sage.elections", plan.elections)
             extra_bytes = 0.0
             per_block = self._per_block_lane_cycles(degrees, spec.block_size)
             placement = block_placement(per_block, spec.num_sms)

@@ -85,6 +85,9 @@ class TraversalPipeline:
         self.scheduler = scheduler
         self.device = device or Device(scheduler.spec)
         self.max_iterations = max_iterations
+        #: original ids -> ids of ``self.graph``, composed over every
+        #: reorder committed by earlier runs (None while unrelabeled).
+        self._perm: np.ndarray | None = None
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.sanitizer = sanitizer
         if sanitizer is not None:
@@ -111,6 +114,9 @@ class TraversalPipeline:
 
         The device clock is read differentially, so one pipeline/device
         pair can serve many runs while the profiler keeps accumulating.
+        A reordering committed by one run is kept for the next: ``source``
+        and the results stay in the ids of the graph the pipeline was
+        built with.
         """
         graph = self.graph
         scheduler = self.scheduler
@@ -118,6 +124,12 @@ class TraversalPipeline:
         metrics = self.metrics
         sanitizer = self.sanitizer
         start_seconds = device.elapsed_seconds
+        # total_perm maps original ids -> current ids across commits.
+        total_perm = self._perm
+        if total_perm is not None and source is not None and (
+            0 <= source < total_perm.size
+        ):
+            source = int(total_perm[source])
 
         with metrics.span(
             "run", app=app.name, scheduler=scheduler.name,
@@ -130,8 +142,6 @@ class TraversalPipeline:
                 sanitizer.set_metrics(metrics)
                 sanitizer.begin_run(graph, app)
             queue = FrontierQueue(app.initial_frontier())
-            # total_perm maps original ids -> current ids across commits.
-            total_perm: np.ndarray | None = None
             edges_traversed = 0
             iterations = 0
             commits = 0
@@ -225,6 +235,7 @@ class TraversalPipeline:
                 sanitizer.end_run()
 
         self.graph = graph
+        self._perm = total_perm
         results = app.result()
         if total_perm is not None:
             # Express outputs in original ids: original node i now lives

@@ -18,6 +18,7 @@ Resident Tile store are built on it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +98,79 @@ class TileDecomposition:
         return starts
 
 
-def decompose_frontier(
+@dataclass(frozen=True)
+class _RemainderTable:
+    """Per-remainder tail of a node's decomposition.
+
+    Row ``r`` describes the work left after the block tiles of a node
+    with ``degree mod block_size == r``: its tail sizes (the smaller
+    tiles in descending size, then the fragment), padded with zeros.
+    """
+
+    tail: np.ndarray  # (levels, block_size): size of the j-th tail segment
+    tail_len: np.ndarray  # segments in the tail
+    small_tiles: np.ndarray  # tiles below the block level (one election each)
+    fragment: np.ndarray  # 1 when a fragment closes the tail
+    levels: int
+
+
+@functools.lru_cache(maxsize=32)
+def _remainder_table(block_size: int, min_tile: int) -> _RemainderTable:
+    sizes = tile_size_levels(block_size, min_tile)
+    rem = np.arange(block_size, dtype=np.int64)
+    # A remainder below the block size takes one tile per set bit at
+    # the smaller levels: the binary partition of Algorithm 2.
+    columns = [np.where(rem & s, s, 0) for s in sizes[1:]]
+    columns.append(rem % min_tile)
+    tail = np.zeros((len(columns), block_size), dtype=np.int64)
+    tail_len = np.zeros(block_size, dtype=np.int64)
+    for col in columns:
+        has = col > 0
+        tail[tail_len[has], np.flatnonzero(has)] = col[has]
+        tail_len += has
+    fragment = (rem % min_tile > 0).astype(np.int64)
+    return _RemainderTable(
+        tail=tail,
+        tail_len=tail_len,
+        small_tiles=tail_len - fragment,
+        fragment=fragment,
+        levels=len(sizes),
+    )
+
+
+@dataclass(frozen=True)
+class SegmentPlan:
+    """A frontier's tiles and fragments as sorted segments.
+
+    Segments are listed node by node and, within a node, in adjacency
+    order (block tiles, the smaller tiles, then the fragment), so their
+    starts in the expanded edge array are the exclusive prefix sum of
+    their sizes.
+    """
+
+    starts: np.ndarray
+    sizes: np.ndarray
+    counts: np.ndarray  # segments per frontier node
+    num_tiles: int
+    num_fragments: int
+    elections: int
+    levels: int
+    min_tile: int
+
+    @property
+    def tile_sizes(self) -> np.ndarray:
+        return self.sizes[self.sizes >= self.min_tile]
+
+    @property
+    def fragment_sizes(self) -> np.ndarray:
+        return self.sizes[self.sizes < self.min_tile]
+
+
+def segment_plan(
     degrees: np.ndarray,
     block_size: int,
     min_tile: int = DEFAULT_MIN_TILE,
-) -> TileDecomposition:
+) -> SegmentPlan:
     """Run Tiled Partitioning over a frontier's degree array.
 
     Args:
@@ -110,7 +179,13 @@ def decompose_frontier(
         min_tile: the paper's MIN_TILE_SIZE.
 
     Returns:
-        The full :class:`TileDecomposition`.
+        The :class:`SegmentPlan`: every segment's size and sorted start,
+        plus the counts the cost model charges.
+
+    A node's tiles are a pure function of its degree: ``d // B`` block
+    tiles, then the row of the remainder table for ``d mod B``.  Sizes
+    are written node-major (the block tiles by one fill, the tail one
+    level at a time), so no per-tile index arrays and no sort.
 
     Election accounting follows Algorithm 2: one election per
     (node, tile-size level) at which the node has work — at the block
@@ -120,74 +195,77 @@ def decompose_frontier(
     degrees = np.asarray(degrees, dtype=np.int64)
     if degrees.size and degrees.min() < 0:
         raise InvalidParameterError("degrees must be non-negative")
-    sizes = tile_size_levels(block_size, min_tile)
+    table = _remainder_table(block_size, min_tile)
+    blocks = degrees // block_size
+    rem = degrees - blocks * block_size
+    tail_len = table.tail_len[rem]
+    counts = blocks + tail_len
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    sizes = np.full(total, block_size, dtype=np.int64)
+    # The nodes with a j-th tail segment shrink level by level.
+    nodes = np.flatnonzero(tail_len)
+    tail_pos = ends[nodes] - tail_len[nodes]
+    node_rem = rem[nodes]
+    for j in range(table.levels):
+        sizes[tail_pos] = table.tail[j][node_rem]
+        more = table.tail_len[node_rem] > j + 1
+        if not more.any():
+            break
+        tail_pos = np.compress(more, tail_pos) + 1
+        node_rem = np.compress(more, node_rem)
+    starts = np.zeros(total, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    hist = np.bincount(rem, minlength=block_size)
+    small_tiles = int(hist @ table.small_tiles)
+    return SegmentPlan(
+        starts=starts,
+        sizes=sizes,
+        counts=counts,
+        num_tiles=int(blocks.sum()) + small_tiles,
+        num_fragments=int(hist @ table.fragment),
+        elections=int(np.count_nonzero(blocks)) + small_tiles,
+        levels=table.levels,
+        min_tile=min_tile,
+    )
 
-    idx_chunks: list[np.ndarray] = []
-    size_chunks: list[np.ndarray] = []
-    offset_chunks: list[np.ndarray] = []
-    elections = 0
 
-    # The per-node quantities at every level (tile count, consumed
-    # offset) are pure functions of the degree, so the level arithmetic
-    # runs over the distinct-degree histogram and is gathered back per
-    # node only for the expansion that produces output.
-    all_idx = np.arange(degrees.size, dtype=np.int64)
-    if degrees.size:
-        hist = np.bincount(degrees)
-        uniq = np.flatnonzero(hist)
-        hist_u = hist[uniq]
-        lookup = np.zeros(hist.size, dtype=np.int64)
-        lookup[uniq] = np.arange(uniq.size, dtype=np.int64)
-        inv = lookup[degrees]
-    else:
-        uniq = np.empty(0, dtype=np.int64)
-        hist_u = np.empty(0, dtype=np.int64)
-        inv = np.empty(0, dtype=np.int64)
-    rem_u = uniq.copy()
-    cons_u = np.zeros_like(uniq)
-    for s in sizes:
-        cnt_u = rem_u // s
-        active_u = cnt_u > 0
-        elections += int(hist_u[active_u].sum())
-        if cnt_u[active_u].size and int((cnt_u * hist_u)[active_u].sum()):
-            # node i contributes cnt[degree_i] tiles at offsets
-            # consumed[degree_i], consumed[degree_i] + s, ...
-            counts = cnt_u[inv]
-            active = counts > 0
-            reps = counts[active]
-            nodes = np.repeat(all_idx[active], reps)
-            base = np.repeat(cons_u[inv][active], reps)
-            cum = np.repeat(np.cumsum(reps) - reps, reps)
-            within = (np.arange(nodes.size, dtype=np.int64) - cum) * s
-            idx_chunks.append(nodes)
-            size_chunks.append(np.full(nodes.size, s, dtype=np.int64))
-            offset_chunks.append(base + within)
-        cons_u += cnt_u * s
-        rem_u -= cnt_u * s
+def decompose_frontier(
+    degrees: np.ndarray,
+    block_size: int,
+    min_tile: int = DEFAULT_MIN_TILE,
+) -> TileDecomposition:
+    """Per-tile view of :func:`segment_plan`.
 
-    frag_active = rem_u[inv] > 0 if degrees.size else np.zeros(0, dtype=bool)
-    frag_idx = all_idx[frag_active]
-    frag_sizes = rem_u[inv][frag_active]
-    frag_offsets = cons_u[inv][frag_active]
+    Args:
+        degrees: out-degree of each frontier node, in frontier order.
+        block_size: threads per block (largest tile).
+        min_tile: the paper's MIN_TILE_SIZE.
 
-    if idx_chunks:
-        tile_idx = np.concatenate(idx_chunks)
-        tile_sizes = np.concatenate(size_chunks)
-        tile_offsets = np.concatenate(offset_chunks)
-    else:
-        tile_idx = np.empty(0, dtype=np.int64)
-        tile_sizes = np.empty(0, dtype=np.int64)
-        tile_offsets = np.empty(0, dtype=np.int64)
-
+    Returns:
+        The full :class:`TileDecomposition`: tiles level by level (block
+        tiles first), node order within a level, then the fragments.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    plan = segment_plan(degrees, block_size, min_tile)
+    node = np.repeat(np.arange(degrees.size, dtype=np.int64), plan.counts)
+    offset = plan.starts - (np.cumsum(degrees) - degrees)[node]
+    is_tile = plan.sizes >= min_tile
+    tiles = np.flatnonzero(is_tile)
+    # Level by level: tile sizes are distinct powers of two per level,
+    # so a stable sort on descending size orders levels, keeping node
+    # order within each.
+    tiles = tiles[np.argsort(-plan.sizes[tiles], kind="stable")]
+    frags = np.flatnonzero(~is_tile)
     return TileDecomposition(
-        tile_frontier_idx=tile_idx,
-        tile_sizes=tile_sizes,
-        tile_local_offsets=tile_offsets,
-        fragment_frontier_idx=frag_idx,
-        fragment_sizes=frag_sizes,
-        fragment_local_offsets=frag_offsets,
-        elections=elections,
-        levels=len(sizes),
+        tile_frontier_idx=node[tiles],
+        tile_sizes=plan.sizes[tiles],
+        tile_local_offsets=offset[tiles],
+        fragment_frontier_idx=node[frags],
+        fragment_sizes=plan.sizes[frags],
+        fragment_local_offsets=offset[frags],
+        elections=plan.elections,
+        levels=plan.levels,
         block_size=block_size,
         min_tile=min_tile,
     )

@@ -21,6 +21,7 @@ from repro.gpusim.memory import (
     estimate_dram_sectors,
     sector_ids,
     segmented_distinct_sectors,
+    segmented_distinct_total,
 )
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import NVLINK2, PCIE3_X16, CPUSpec, GPUSpec, LinkSpec
@@ -74,5 +75,6 @@ __all__ = [
     "replay_cache_trace",
     "sector_ids",
     "segmented_distinct_sectors",
+    "segmented_distinct_total",
     "tasks_from_decomposition",
 ]

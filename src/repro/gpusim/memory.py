@@ -137,15 +137,46 @@ def segmented_distinct_sectors(
             seg_of = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
             order = np.lexsort((secs, seg_of))
             secs = secs[order]
-    jumps = np.empty(addresses.size, dtype=bool)
-    jumps[0] = True
-    np.not_equal(secs[1:], secs[:-1], out=jumps[1:])
-    # First element of each non-empty segment opens a new sector; empty
-    # segments (start == end, possibly == len) have nothing to mark.
-    jumps[starts[starts < addresses.size]] = True
-    jump_pos = np.flatnonzero(jumps)
+    jump_pos = np.flatnonzero(_sector_jumps(secs, starts))
     edges = np.searchsorted(jump_pos, bounds)
     return edges[1:] - edges[:-1]
+
+
+def _sector_jumps(secs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Where a segment's sorted sector ids open a new sector.
+
+    Every sector change opens one, and so does the first element of each
+    non-empty segment; empty segments (start == end, possibly == len)
+    have nothing to mark.
+    """
+    jumps = np.empty(secs.size, dtype=bool)
+    jumps[0] = True
+    np.not_equal(secs[1:], secs[:-1], out=jumps[1:])
+    jumps[starts[starts < secs.size]] = True
+    return jumps
+
+
+def segmented_distinct_total(
+    addresses: np.ndarray,
+    segment_starts: np.ndarray,
+    sector_width: int,
+) -> int:
+    """Sum over segments of their distinct sector counts.
+
+    Equal to ``segmented_distinct_sectors(..., presorted=True).sum()``
+    for individually sorted segments: the sum is the number of sector
+    jumps once every segment start is marked as one, so no per-segment
+    bounds are searched.  ``segment_starts`` must be sorted from 0.
+    """
+    addresses = np.asarray(addresses, dtype=np.int64)
+    starts = np.asarray(segment_starts, dtype=np.int64)
+    if starts.size == 0 or addresses.size == 0:
+        return 0
+    if starts[0] != 0:
+        raise InvalidParameterError("segment_starts must be sorted from 0")
+    return int(np.count_nonzero(
+        _sector_jumps(sector_ids(addresses, sector_width), starts)
+    ))
 
 
 def segmented_distinct_sectors_reference(

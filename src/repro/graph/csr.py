@@ -169,11 +169,12 @@ class CSRGraph:
             return empty, empty.copy(), empty.copy()
         edge_src = np.repeat(frontier, counts)
         # Positions within targets: for each frontier node, the run
-        # starts[i] .. starts[i] + counts[i]; build all of them at once.
-        run_starts = np.repeat(starts, counts)
-        within = np.arange(total, dtype=EDGE_DTYPE)
-        run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        edge_pos = run_starts + (within - run_offsets)
+        # starts[i] .. starts[i] + counts[i].  Edge k of the batch sits at
+        # starts[i] + (k - first_k[i]), so one repeat of the per-node
+        # shift plus an arange builds all of them at once.
+        shift = starts - (np.cumsum(counts) - counts)
+        edge_pos = np.repeat(shift, counts)
+        edge_pos += np.arange(total, dtype=EDGE_DTYPE)
         return edge_src, self.targets[edge_pos], edge_pos
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.core.scheduler import Scheduler
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
+from repro.gpusim.memory import distinct_count
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.spec import LinkSpec, NVLINK2
 from repro.gpusim.streams import KERNEL, TraceNode, kernel_occupancy
@@ -55,7 +56,9 @@ class MultiGpuRunner:
         if num_gpus < 1:
             raise InvalidParameterError("num_gpus must be >= 1")
         self.assignment = np.asarray(assignment, dtype=np.int64)
-        if self.assignment.size and self.assignment.max() >= num_gpus:
+        if self.assignment.size and (
+            self.assignment.max() >= num_gpus or self.assignment.min() < 0
+        ):
             raise InvalidParameterError("assignment references unknown GPU")
         self.num_gpus = num_gpus
         self.link = link
@@ -107,7 +110,10 @@ class MultiGpuRunner:
                         f"{app.name} exceeded {max_iterations} iterations"
                     )
                 frontier = queue.current
-                owners = self.assignment[frontier]
+                # One device owns every node: no partition to split by.
+                owners = (
+                    self.assignment[frontier] if self.num_gpus > 1 else None
+                )
                 gpu_seconds = np.zeros(self.num_gpus)
                 gpu_timings = []
                 all_src: list[np.ndarray] = []
@@ -120,7 +126,10 @@ class MultiGpuRunner:
                 )
                 with it_span:
                     for gpu in range(self.num_gpus):
-                        local = frontier[owners == gpu]
+                        local = (
+                            frontier if owners is None
+                            else frontier[owners == gpu]
+                        )
                         if local.size == 0:
                             continue
                         edge_src, edge_dst, edge_pos = (
@@ -140,16 +149,21 @@ class MultiGpuRunner:
                             timing.cycles
                         )
                         gpu_timings.append(timing)
-                        remote = edge_dst[self.assignment[edge_dst] != gpu]
-                        # Engines aggregate frontier updates per node
-                        # before shipping: a remote node is announced
-                        # once, not once per incoming edge.
-                        remote_updates += int(np.unique(remote).size)
+                        if owners is not None:
+                            remote = edge_dst[self.assignment[edge_dst] != gpu]
+                            # Engines aggregate frontier updates per node
+                            # before shipping: a remote node is announced
+                            # once, not once per incoming edge.
+                            remote_updates += distinct_count(remote)
                         all_src.append(edge_src)
                         all_dst.append(edge_dst)
                         all_pos.append(edge_pos)
                         edges_traversed += int(edge_dst.size)
-                    if all_src:
+                    if len(all_src) == 1:
+                        edge_src, edge_dst, edge_pos = (
+                            all_src[0], all_dst[0], all_pos[0]
+                        )
+                    elif all_src:
                         edge_src = np.concatenate(all_src)
                         edge_dst = np.concatenate(all_dst)
                         edge_pos = np.concatenate(all_pos)

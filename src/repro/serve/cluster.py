@@ -727,7 +727,7 @@ def simulate_cluster_open_loop(
         counts[response.status.value] = counts.get(
             response.status.value, 0
         ) + 1
-    p50, p95, p99 = _percentiles([r.latency_seconds for r in ordered])
+    p50, p95, p99 = _percentiles(ordered)
     report = ClusterBenchReport(
         num_queries=len(requests),
         num_replicas=num_replicas,

@@ -250,7 +250,15 @@ def sequential_baseline(
     )
 
 
-def _percentiles(latencies: list[float]) -> tuple[float, float, float]:
+def _percentiles(responses: list[QueryResponse]) -> tuple[float, float, float]:
+    """p50/p95/p99 latency of the served (``OK``) responses.
+
+    Shed, throttled and failed responses are counted in ``status_counts``
+    only: a shed response's latency of 0 would pull every percentile
+    down under exactly the overload the report is meant to show.
+    """
+    latencies = [r.latency_seconds for r in responses
+                 if r.status is QueryStatus.OK]
     if not latencies:
         return (0.0, 0.0, 0.0)
     p50, p95, p99 = np.percentile(np.asarray(latencies), [50, 95, 99])
@@ -360,7 +368,7 @@ def simulate_open_loop(
         counts[response.status.value] = counts.get(
             response.status.value, 0
         ) + 1
-    p50, p95, p99 = _percentiles([r.latency_seconds for r in ordered])
+    p50, p95, p99 = _percentiles(ordered)
     report = ServeBenchReport(
         mode="open-loop",
         num_queries=len(requests),
@@ -445,7 +453,7 @@ def run_closed_loop(
         counts[response.status.value] = counts.get(
             response.status.value, 0
         ) + 1
-    p50, p95, p99 = _percentiles([r.latency_seconds for r in done])
+    p50, p95, p99 = _percentiles(done)
     # Closed-loop times are wall-clock while the sequential oracle is
     # simulated time; a cross-domain speedup would be meaningless, so it
     # is reported as 0 ("n/a") in this mode.

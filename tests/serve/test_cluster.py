@@ -15,6 +15,7 @@ import pytest
 from repro.core import SageScheduler
 from repro.errors import InvalidParameterError
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.generators import rmat
 from repro.obs import MetricsRegistry
 from repro.serve import (
     ROUTING_POLICIES,
@@ -159,6 +160,22 @@ class TestSimulatorDifferential:
             single_broker_seconds=single.sim_seconds_total,
         )
         assert report.speedup_vs_single_broker > 1.0
+
+    def test_latency_percentiles_skip_shed_responses(self):
+        # Overload: most queries are shed with latency 0.  The report's
+        # percentiles describe the served queries only.
+        graph = rmat(14, 8, seed=0)
+        requests = generate_queries("g", graph.num_nodes, 1000, seed=0)
+        arrivals = open_loop_arrivals(1000, rate_qps=100000, seed=0)
+        responses, report = simulate_cluster_open_loop(
+            {"g": graph}, requests, arrivals, scheduler_factory
+        )
+        assert report.status_counts[QueryStatus.SHED.value] == 919
+        ok = [r.latency_seconds for r in responses
+              if r.status is QueryStatus.OK]
+        p50, p95, p99 = np.percentile(ok, [50, 95, 99])
+        assert report.latency_p50 == p50 == pytest.approx(9.8e-3, abs=1e-4)
+        assert (report.latency_p95, report.latency_p99) == (p95, p99)
 
 
 class TestMidStreamUpdates:

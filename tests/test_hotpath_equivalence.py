@@ -8,7 +8,9 @@ segments, single-node frontiers, all-duplicate destinations, degree-0
 hubs, and LRU batches that straddle the internal chunk boundary.  The
 reorder-layer rewrites (Gorder, the SAGE round, the composite-key COO
 sort) are held to the same standard: identical permutations, counters
-and arrays.
+and arrays.  So are the per-iteration traversal paths: the table-driven
+segment plan, the bitmap contraction, the one-repeat frontier expansion,
+the segmented distinct total, and the single-device multi-GPU runner.
 """
 
 import numpy as np
@@ -16,19 +18,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import BFSApp, PageRankApp, SSSPApp
+from repro.apps.base import contract
+from repro.core import SageScheduler, TraversalPipeline
 from repro.core.reorder import SamplingReorderer
-from repro.core.tiling import DEFAULT_MIN_TILE, decompose_frontier, decompose_frontier_reference
+from repro.core.tiling import (
+    DEFAULT_MIN_TILE,
+    decompose_frontier,
+    decompose_frontier_reference,
+    segment_plan,
+)
 from repro.gpusim.memory import (
     LRUCacheModel,
     ReferenceLRUCache,
     segmented_distinct_sectors,
     segmented_distinct_sectors_reference,
+    segmented_distinct_total,
 )
 from repro.gpusim.spec import GPUSpec
 from repro.graph import datasets
 from repro.graph.coo import COOGraph
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import complete_graph
+from repro.graph.generators import complete_graph, rmat
+from repro.multigpu import MultiGpuRunner
 from repro.obs import MetricsRegistry
 from repro.reorder.gorder import gorder_order, gorder_order_reference
 
@@ -76,6 +88,23 @@ class TestSegmentedDistinctSectors:
             segmented_distinct_sectors(addresses, starts, 8, presorted=True),
             segmented_distinct_sectors_reference(addresses, starts, 8, presorted=True),
         )
+
+    @settings(max_examples=120, deadline=None)
+    @given(segmented_case())
+    def test_total_matches_presorted_sum(self, case):
+        values, data = case
+        addresses = np.asarray(values, dtype=np.int64)
+        starts = _starts_for(addresses.size, data)
+        bounds = np.append(starts, addresses.size)
+        for i in range(starts.size):
+            addresses[bounds[i] : bounds[i + 1]].sort()
+        expected = segmented_distinct_sectors(addresses, starts, 8, presorted=True).sum()
+        assert segmented_distinct_total(addresses, starts, 8) == expected
+
+    def test_total_of_no_segments_or_no_addresses(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert segmented_distinct_total(np.arange(5), empty, 8) == 0
+        assert segmented_distinct_total(empty, np.zeros(3, dtype=np.int64), 8) == 0
 
     def test_all_duplicate_destinations(self):
         # A hub frontier: every lane loads the same neighbor.
@@ -203,6 +232,137 @@ def edge_lists(draw, max_nodes=24, max_edges=60):
     src = np.array([e[0] for e in edges], dtype=np.int64)
     dst = np.array([e[1] for e in edges], dtype=np.int64)
     return n, src, dst
+
+
+@st.composite
+def tiling_cases(draw):
+    """(degrees, block_size, min_tile) with zeros and exact block multiples."""
+    block_size, min_tile = draw(
+        st.sampled_from([(64, 8), (256, 8), (64, 1), (8, 8), (1, 1)]), label="sizes"
+    )
+    degree = st.one_of(
+        st.integers(0, 3 * block_size + 9),
+        st.integers(0, 4).map(lambda k: k * block_size),
+    )
+    degrees = draw(st.lists(degree, max_size=40), label="degrees")
+    return np.asarray(degrees, dtype=np.int64), block_size, min_tile
+
+
+class TestSegmentPlanEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(tiling_cases())
+    def test_matches_reference(self, case):
+        degrees, block_size, min_tile = case
+        plan = segment_plan(degrees, block_size, min_tile)
+        ref = decompose_frontier_reference(degrees, block_size, min_tile)
+        starts = ref.segment_starts(np.cumsum(degrees) - degrees)
+        np.testing.assert_array_equal(plan.starts, starts)
+        np.testing.assert_array_equal(plan.sizes, np.diff(np.append(starts, degrees.sum())))
+        per_node = np.bincount(ref.tile_frontier_idx, minlength=degrees.size)
+        per_node += np.bincount(ref.fragment_frontier_idx, minlength=degrees.size)
+        np.testing.assert_array_equal(plan.counts, per_node)
+        assert plan.num_tiles == ref.num_tiles
+        assert plan.num_fragments == ref.fragment_frontier_idx.size
+        assert plan.elections == ref.elections
+        assert plan.levels == ref.levels
+        np.testing.assert_array_equal(np.sort(plan.tile_sizes), np.sort(ref.tile_sizes))
+        np.testing.assert_array_equal(plan.fragment_sizes, ref.fragment_sizes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tiling_cases())
+    def test_decompose_frontier_matches_reference(self, case):
+        degrees, block_size, min_tile = case
+        _assert_decompositions_equal(
+            decompose_frontier(degrees, block_size, min_tile),
+            decompose_frontier_reference(degrees, block_size, min_tile),
+        )
+
+    def test_empty_frontier(self):
+        plan = segment_plan(np.zeros(0, dtype=np.int64), 256)
+        assert plan.starts.size == plan.sizes.size == plan.counts.size == 0
+        assert (plan.num_tiles, plan.num_fragments, plan.elections) == (0, 0, 0)
+
+
+class TestContractEquivalence:
+    @pytest.mark.parametrize(
+        "candidates",
+        [
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int32),
+            np.array([5, 3, 5, 0, 3], dtype=np.int32),
+            np.array([9, 9, 9, 9], dtype=np.int64),
+            np.array([10**9, 7, 10**9, 3], dtype=np.int64),
+            np.array([4, -2, 4, 0], dtype=np.int64),
+            np.array([2, 1, 2], dtype=np.uint32),
+        ],
+        ids=["empty", "empty-int32", "int32", "all-duplicate", "sparse", "negative", "uint32"],
+    )
+    def test_matches_unique(self, candidates):
+        got = contract(candidates)
+        want = np.unique(candidates) if candidates.size else candidates.astype(np.int64)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.integers(-3, 5000), max_size=80))
+    def test_random_ids_match_unique(self, values):
+        candidates = np.asarray(values, dtype=np.int64)
+        got = contract(candidates)
+        want = np.unique(candidates) if candidates.size else candidates
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def _expand_positions_reference(graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
+    """CSR edge positions by the three-repeat formula."""
+    starts = graph.offsets[frontier]
+    counts = graph.offsets[frontier + 1] - starts
+    total = int(counts.sum())
+    run_starts = np.repeat(starts, counts)
+    run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    return run_starts + (np.arange(total, dtype=np.int64) - run_offsets)
+
+
+class TestExpandFrontierEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(edge_lists(), st.data())
+    def test_matches_three_repeat_formula(self, case, data):
+        # Frontiers may repeat nodes and include degree-0 nodes.
+        n, src, dst = case
+        graph = CSRGraph.from_edges(n, src, dst)
+        frontier = np.asarray(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=30), label="frontier"),
+            dtype=np.int64,
+        )
+        edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
+        want = _expand_positions_reference(graph, frontier)
+        assert edge_pos.dtype == want.dtype
+        np.testing.assert_array_equal(edge_pos, want)
+        np.testing.assert_array_equal(edge_dst, graph.targets[want])
+        np.testing.assert_array_equal(
+            edge_src, np.repeat(frontier, np.diff(graph.offsets)[frontier])
+        )
+
+
+class TestSingleGpuRunnerEquivalence:
+    @pytest.mark.parametrize(
+        "make_app, source",
+        [(BFSApp, 3), (lambda: PageRankApp(max_iterations=10), None), (SSSPApp, 3)],
+        ids=["bfs", "pr", "sssp"],
+    )
+    def test_matches_pipeline(self, make_app, source):
+        graph = rmat(9, 8, seed=4)
+        runner = MultiGpuRunner(
+            SageScheduler, np.zeros(graph.num_nodes, dtype=np.int64), num_gpus=1
+        )
+        multi = runner.run(graph, make_app(), source)
+        single = TraversalPipeline(graph, SageScheduler()).run(make_app(), source)
+        assert multi.seconds == single.seconds
+        assert multi.iterations == single.iterations
+        assert multi.node_trace == single.node_trace
+        assert multi.result.keys() == single.result.keys()
+        for key in single.result:
+            np.testing.assert_array_equal(multi.result[key], single.result[key])
 
 
 class TestGorderEquivalence:

@@ -69,6 +69,33 @@ class TestPipeline:
             r1.seconds + r2.seconds
         )
 
+    def test_reused_pipeline_keeps_original_ids_after_reorder(self):
+        # A sampling-reorder commit relabels the pipeline's graph; later
+        # runs on the same pipeline must still take their source, and
+        # report their answers, in the ids the pipeline was built with.
+        g = gen.power_law_configuration(
+            500, 2.0, 10.0, seed=9,
+            community_count=10, community_bias=0.9, scramble_ids=True,
+        )
+
+        def scheduler():
+            return SageScheduler(sampling_reorder=True,
+                                 reorder_threshold_edges=g.num_edges // 4)
+
+        shared = TraversalPipeline(g, scheduler())
+        runs = [shared.run(BFSApp(), source=s) for s in (2, 7)]
+        assert runs[0].reorder_commits >= 1
+        for source, run in zip((2, 7), runs):
+            fresh = TraversalPipeline(g, scheduler()).run(
+                BFSApp(), source=source
+            )
+            np.testing.assert_array_equal(
+                run.result["dist"], fresh.result["dist"]
+            )
+        assert np.array_equal(
+            np.sort(runs[1].final_perm), np.arange(g.num_nodes)
+        )
+
     def test_iteration_guard(self):
         class NeverConverges(App):
             name = "loop"
