@@ -2,7 +2,8 @@
 """Microbenchmarks for the vectorized per-iteration hot paths.
 
 Times each rewritten accounting kernel, per-iteration traversal path
-(the segment plan, contraction) and reorder-layer path (Gorder, the SAGE
+(the segment plan, contraction, the SAGE kernel accounting, a PageRank
+full-frontier iteration) and reorder-layer path (Gorder, the SAGE
 round, the COO sort) against its retained reference
 implementation (the pre-optimization formulation kept for the
 equivalence property tests), on inputs shaped like the scale-up tier's
@@ -24,7 +25,9 @@ import time
 
 import numpy as np
 
+from repro.apps import PageRankApp
 from repro.apps.base import contract
+from repro.core import SageScheduler
 from repro.core.reorder import SamplingReorderer
 from repro.core.sampling import TileAccessSampler
 from repro.core.tiling import decompose_frontier, decompose_frontier_reference, segment_plan
@@ -36,6 +39,7 @@ from repro.gpusim.memory import (
 )
 from repro.graph import datasets
 from repro.graph.coo import COOGraph
+from repro.graph.generators import rmat
 from repro.reorder.gorder import gorder_order, gorder_order_reference
 
 SECTOR_WIDTH = 8
@@ -210,6 +214,52 @@ def bench_gorder(repeats: int, scale: float) -> None:
     _row("gorder_order (twitter stand-in)", graph.num_edges, new_s, ref_s)
 
 
+def _pagerank_kernel(graph):
+    scheduler = SageScheduler()
+    scheduler.reset(graph)
+    app = PageRankApp()
+    app.setup(graph)
+    return scheduler, app
+
+
+def bench_kernel_stats(rng, repeats: int, graph) -> None:
+    # SAGE's per-kernel accounting: the per-node cost table summed over
+    # the frontier vs a segment plan and sector count per kernel, on a
+    # serving-sized frontier and on the full frontier.
+    scheduler, app = _pagerank_kernel(graph)
+    n = graph.num_nodes
+    for label, frontier in (
+        ("kernel_stats (serving frontier)", np.sort(rng.choice(n, 1_000, replace=False))),
+        ("kernel_stats (full frontier)", np.arange(n, dtype=np.int64)),
+    ):
+        degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+        edge_dst = graph.expand_frontier(frontier)[1]
+        args = (frontier, degrees, edge_dst, graph, app)
+        reps = repeats * max(1, 20_000 // frontier.size)
+        new_s = _best_of(lambda: scheduler.kernel_stats(*args), reps)
+        ref_s = _best_of(lambda: scheduler._tiled_stats_reference(*args), reps)
+        _row(label, frontier.size, new_s, ref_s)
+
+
+def bench_pagerank_iteration(repeats: int, graph) -> None:
+    # One full-frontier PageRank iteration: expansion, kernel accounting
+    # and the filter, vs the range gather and the per-kernel accounting.
+    scheduler, app = _pagerank_kernel(graph)
+    frontier = np.arange(graph.num_nodes, dtype=np.int64)
+    degrees = graph.out_degrees()
+
+    def iteration(expand, kernel_stats):
+        edge_src, edge_dst, edge_pos = expand(frontier)
+        kernel_stats(frontier, degrees, edge_dst, graph, app)
+        app.process_level(edge_src, edge_dst, edge_pos)
+
+    new_s = _best_of(lambda: iteration(graph.expand_frontier, scheduler.kernel_stats), repeats)
+    ref_s = _best_of(
+        lambda: iteration(graph._gather_ranges, scheduler._tiled_stats_reference), repeats
+    )
+    _row("pagerank full-frontier iteration", graph.num_edges, new_s, ref_s)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller inputs, fewer repeats")
@@ -229,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     bench_segment_plan(rng, repeats, 12_500 * scale)
     bench_contract(rng, repeats, 125_000 * scale)
     bench_gorder(repeats, 0.1 if args.quick else 0.5)
+    # R-MAT 17 (131k nodes) is the analytics workload's scale.
+    graph = rmat(14 if args.quick else 17, 8, seed=7)
+    bench_kernel_stats(rng, repeats, graph)
+    bench_pagerank_iteration(repeats, graph)
     return 0
 
 

@@ -55,6 +55,7 @@ FINDING_CODES: dict[str, str] = {
     "nonmonotone_level": "settled node re-entered a later frontier of a monotone-level app",
     "invalid_permutation": "reorder commit is not a bijection over the nodes",
     "work_unit_gap": "scheduled tiles do not cover the edge batch exactly",
+    "cost_table_mismatch": "per-node cost table totals differ from the kernel's own segments",
     "kernel_stats_inconsistent": "scheduler-reported kernel stats are inconsistent",
 }
 
@@ -411,6 +412,34 @@ class Sanitizer:
                         "covered": covered,
                         "total_edges": int(total_edges),
                     },
+                )
+            )
+
+    def check_cost_totals(
+        self,
+        table: dict[str, int],
+        plan: dict[str, int],
+        iteration: int | None = None,
+    ) -> None:
+        """A kernel's totals from the graph's per-node cost table must
+        equal the ones counted over its segments and edge batch."""
+        differing = {
+            name: {"table": table[name], "plan": plan[name]}
+            for name in table
+            if table[name] != plan[name]
+        }
+        if differing:
+            self._record(
+                Finding(
+                    code="cost_table_mismatch",
+                    message=(
+                        "cost table disagrees with the kernel's segments on "
+                        f"{', '.join(sorted(differing))} (is the edge batch "
+                        "this graph's expansion of the frontier?)"
+                    ),
+                    app=self._app_name,
+                    iteration=iteration,
+                    details=differing,
                 )
             )
 

@@ -44,9 +44,22 @@ def synthetic_weights(graph: CSRGraph, max_weight: int = 8) -> np.ndarray:
     both endpoints consistently... they do not — reordering relabels
     nodes, so SSSP runs either use explicit weights or skip reordering.
     Weights are in ``[1, max_weight]``.
+
+    A constant of the graph: built once and cached on it, read-only, in
+    the smallest integer dtype that holds ``max_weight``.
     """
-    coo = graph.to_coo()
-    return pair_weights(coo.src, coo.dst, max_weight)
+    return graph.derived(
+        ("synthetic_weights", max_weight),
+        lambda g: _edge_pair_weights(g, max_weight),
+    )
+
+
+def _edge_pair_weights(graph: CSRGraph, max_weight: int) -> np.ndarray:
+    src = np.repeat(graph.all_nodes(), graph.out_degrees())
+    weights = pair_weights(src, graph.targets, max_weight)
+    weights = weights.astype(np.min_scalar_type(-max_weight))
+    weights.setflags(write=False)
+    return weights
 
 
 class SSSPApp(App):
@@ -100,10 +113,12 @@ class SSSPApp(App):
         if edge_pos is None:
             raise InvalidParameterError("SSSP needs edge positions for weights")
         candidate = self.dist[edge_src] + self.weights[edge_pos]
-        before = self.dist[edge_dst].copy()
-        np.minimum.at(self.dist, edge_dst, candidate)
-        improved = self.dist[edge_dst] < before
-        return contract(edge_dst[improved])
+        # Only candidates that beat the current distance can lower it;
+        # their targets are exactly the nodes the relaxation improves.
+        better = candidate < self.dist[edge_dst]
+        improved = edge_dst[better]
+        np.minimum.at(self.dist, improved, candidate[better])
+        return contract(improved)
 
     def result(self) -> dict[str, np.ndarray]:
         assert self.dist is not None

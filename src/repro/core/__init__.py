@@ -11,10 +11,14 @@ from repro.core.sampling import TileAccessSampler, exact_locality_counts
 from repro.core.scheduler import ReorderCommit, Scheduler
 from repro.core.tiling import (
     DEFAULT_MIN_TILE,
+    FrontierCosts,
+    NodeCosts,
     SegmentPlan,
     TileDecomposition,
     decompose_degree,
     decompose_frontier,
+    node_costs,
+    plan_costs,
     segment_plan,
     tile_size_levels,
 )
@@ -22,9 +26,11 @@ from repro.core.tiling import (
 __all__ = [
     "CompressedTraversalScheduler",
     "DEFAULT_MIN_TILE",
+    "FrontierCosts",
     "FrontierQueue",
     "HybridConfig",
     "HybridStats",
+    "NodeCosts",
     "ReorderCommit",
     "ResidentTileStore",
     "RoundOutcome",
@@ -40,6 +46,8 @@ __all__ = [
     "direction_optimized_bfs",
     "decompose_frontier",
     "exact_locality_counts",
+    "node_costs",
+    "plan_costs",
     "run_app",
     "segment_plan",
     "tile_size_levels",

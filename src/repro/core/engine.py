@@ -20,8 +20,6 @@ get divided by the SM count (overheads execute in parallel per SM).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.apps.base import App
@@ -32,16 +30,21 @@ from repro.core.scheduler import (
     Scheduler,
     SectorAccounting,
     atomic_conflicts_for,
-    csr_gather_sectors,
     value_sector_accounting,
 )
-from repro.core.tiling import DEFAULT_MIN_TILE, SegmentPlan, segment_plan
+from repro.core.tiling import (
+    DEFAULT_MIN_TILE,
+    FrontierCosts,
+    SegmentPlan,
+    node_costs,
+    plan_costs,
+    segment_plan,
+)
 from repro.graph.csr import CSRGraph
 from repro.gpusim.cost import KernelStats, block_placement, even_placement
-from repro.gpusim.memory import segmented_distinct_total
 
 # Layer tracers wrap these two by name on this module; the engine itself
-# runs on segment_plan and segmented_distinct_total.
+# runs on node_costs (segment_plan when sampling or sanitizing).
 from repro.core.tiling import decompose_frontier  # noqa: F401
 from repro.gpusim.memory import segmented_distinct_sectors  # noqa: F401
 from repro.gpusim.spec import GPUSpec
@@ -54,11 +57,6 @@ FRAGMENT_SETUP_CYCLES = 8.0  # scan-based gather setup per fragment node
 TILE_WRITE_CYCLES = 6.0     # expandTiles store per new tile (Alg. 3 l.3)
 TILE_CONSUME_CYCLES = 2.0   # popping a resident tile from the global queue
 SAMPLE_CYCLES = 16.0        # Alg. 4 shared-memory counting per sampled tile
-
-#: Distinct frontier degree signatures memoized per scheduler.  Full-frontier
-#: apps (PageRank-style) present the identical degree array every iteration;
-#: traversal apps cycle through a handful of frontiers across BFS levels.
-DECOMP_MEMO_ENTRIES = 8
 
 
 class SageScheduler(Scheduler):
@@ -89,12 +87,6 @@ class SageScheduler(Scheduler):
         self.reorder_seed = reorder_seed
         self._store: ResidentTileStore | None = None
         self._reorderer: SamplingReorderer | None = None
-        self._decomp_memo: OrderedDict[
-            tuple[str, bytes], tuple[SegmentPlan, int]
-        ] = OrderedDict()
-        self._edge_memo: OrderedDict[
-            tuple[tuple[str, bytes], bytes], tuple[int, SectorAccounting]
-        ] = OrderedDict()
         self.name = self._build_name()
 
     def _build_name(self) -> str:
@@ -112,8 +104,6 @@ class SageScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def reset(self, graph: CSRGraph) -> None:
-        self._decomp_memo.clear()
-        self._edge_memo.clear()
         self._store = ResidentTileStore(graph) if self.resident_stealing else None
         if self.sampling_reorder:
             threshold = self.reorder_threshold_edges
@@ -160,64 +150,18 @@ class SageScheduler(Scheduler):
     # Cost accounting
     # ------------------------------------------------------------------
 
-    def _decompose_cached(
-        self, degrees: np.ndarray
-    ) -> tuple[tuple[str, bytes], SegmentPlan, int]:
-        """Segment plan and CSR gather sectors of one frontier, memoized
-        on its degree signature.
-
-        Both are pure functions of the degree array (block size, min
-        tile and alignment are fixed per scheduler), so repeated frontier
-        degree signatures — every iteration of a full-frontier app — hit
-        the memo instead of recomputing.  Returns the memo key first so
-        :meth:`_edge_accounting` can reuse it.
-        """
-        key = (degrees.dtype.str, degrees.tobytes())
-        cached = self._decomp_memo.get(key)
-        if cached is not None:
-            self._decomp_memo.move_to_end(key)
-            self.metrics.count("sage.decomp_cache_hits")
-            return (key, *cached)
-        plan = segment_plan(degrees, self.spec.block_size, self.min_tile)
-        csr_sectors = csr_gather_sectors(
-            plan.sizes, self.spec, aligned=self.tile_alignment
-        )
-        self._decomp_memo[key] = (plan, csr_sectors)
-        if len(self._decomp_memo) > DECOMP_MEMO_ENTRIES:
-            self._decomp_memo.popitem(last=False)
-        return key, plan, csr_sectors
-
-    def _edge_accounting(
-        self,
-        degrees_key: tuple[str, bytes],
-        edge_dst: np.ndarray,
-        seg_starts: np.ndarray,
-    ) -> tuple[int, SectorAccounting]:
-        """Per-kernel sector accounting, memoized on the exact edge batch.
-
-        The unscaled per-segment distinct-sector sum and the shared
-        :class:`SectorAccounting` (kernel-wide distinct sectors and
-        addresses, computed lazily) depend only on ``edge_dst`` and the
-        segmentation — which the degree signature determines — so a
-        full-frontier app re-presenting the identical expansion every
-        iteration hits the memo.  Exact byte keys, not hashes: a
-        collision would silently corrupt gated metrics.
-        """
-        key = (degrees_key, edge_dst.tobytes())
-        cached = self._edge_memo.get(key)
-        if cached is not None:
-            self._edge_memo.move_to_end(key)
-            self.metrics.count("sage.edge_accounting_cache_hits")
-            return cached
-        acct = SectorAccounting(edge_dst, self.spec.sector_width)
-        total = segmented_distinct_total(
-            edge_dst, seg_starts, self.spec.sector_width
-        )
-        entry = (total, acct)
-        self._edge_memo[key] = entry
-        if len(self._edge_memo) > DECOMP_MEMO_ENTRIES:
-            self._edge_memo.popitem(last=False)
-        return entry
+    def _sector_accounting(
+        self, graph: CSRGraph, edge_dst: np.ndarray
+    ) -> SectorAccounting:
+        """The kernel's :class:`SectorAccounting`; the full-frontier batch
+        (``targets`` itself) shares one per graph."""
+        width = self.spec.sector_width
+        if edge_dst is graph.targets:
+            return graph.derived(
+                ("sector_accounting", width),
+                lambda g: SectorAccounting(g.targets, width),
+            )
+        return SectorAccounting(edge_dst, width)
 
     def _tiled_stats(
         self,
@@ -228,37 +172,91 @@ class SageScheduler(Scheduler):
         app: App,
     ) -> KernelStats:
         spec = self.spec
-        degrees_key, plan, csr_sectors = self._decompose_cached(degrees)
-        seg_starts = plan.starts
+        costs = node_costs(
+            graph, spec.block_size, self.min_tile, spec.sector_width,
+            self.tile_alignment,
+        ).frontier_costs(frontier, degrees)
+        plan = None
+        if self._reorderer is not None or self.sanitizer is not None:
+            plan = segment_plan(degrees, spec.block_size, self.min_tile)
         if self.sanitizer is not None:
-            # Audit the scheduled work units: tiles + fragments must
-            # cover the expanded batch exactly (a decomposition gap
-            # would silently drop or double-count edges in accounting).
+            # Audit the table against the kernel's own segments: tiles +
+            # fragments must cover the batch, and the totals must match
+            # a per-segment count over edge_dst (they differ when the
+            # batch is not this graph's expansion of the frontier).
             self.sanitizer.check_work_units(
                 plan.tile_sizes, plan.fragment_sizes, edge_dst.size
             )
-        raw_touches, acct = self._edge_accounting(degrees_key, edge_dst, seg_starts)
+            self.sanitizer.check_cost_totals(
+                costs.totals(),
+                plan_costs(
+                    plan, edge_dst, spec.sector_width, self.tile_alignment
+                ).totals(),
+            )
+        return self._stats_from_costs(
+            costs, plan, frontier, degrees, edge_dst, app,
+            self._sector_accounting(graph, edge_dst),
+        )
+
+    def _tiled_stats_reference(
+        self,
+        frontier: np.ndarray,
+        degrees: np.ndarray,
+        edge_dst: np.ndarray,
+        graph: CSRGraph,
+        app: App,
+    ) -> KernelStats:
+        """:meth:`_tiled_stats` with a segment plan and a sector count per
+        kernel: the pre-table formulation, kept as the equivalence
+        reference."""
+        spec = self.spec
+        plan = segment_plan(degrees, spec.block_size, self.min_tile)
+        if self.sanitizer is not None:
+            self.sanitizer.check_work_units(
+                plan.tile_sizes, plan.fragment_sizes, edge_dst.size
+            )
+        costs = plan_costs(
+            plan, edge_dst, spec.sector_width, self.tile_alignment
+        )
+        return self._stats_from_costs(
+            costs, plan, frontier, degrees, edge_dst, app,
+            SectorAccounting(edge_dst, spec.sector_width),
+        )
+
+    def _stats_from_costs(
+        self,
+        costs: FrontierCosts,
+        plan: SegmentPlan | None,
+        frontier: np.ndarray,
+        degrees: np.ndarray,
+        edge_dst: np.ndarray,
+        app: App,
+        acct: SectorAccounting,
+    ) -> KernelStats:
+        """Score a tiled kernel from its totals (``plan`` is needed only
+        when the sampling reorderer observes the kernel's segments)."""
+        spec = self.spec
         touches, unique = value_sector_accounting(
-            edge_dst, seg_starts, spec,
+            edge_dst, None, spec,
             presorted=True, access_factor=app.value_access_factor,
-            accounting=acct, raw_touches=raw_touches,
+            accounting=acct, raw_touches=costs.value_sectors,
         )
 
         active = int(edge_dst.size)
         issued = active  # power-of-two tiles are divergence-free
         num_blocks = max(1, -(-frontier.size // spec.block_size))
         warps_per_block = spec.block_size // spec.warp_size
-        total_tiles = plan.num_tiles + plan.num_fragments
+        total_tiles = costs.num_tiles + costs.num_fragments
 
         if self.resident_stealing:
             assert self._store is not None
-            _, new_nodes, new_tiles = self._store.visit(frontier, plan.counts)
+            _, new_nodes, new_tiles = self._store.visit(frontier, costs.counts)
             # Scheduling decisions are resident: new nodes pay the tile
             # write; everything else is a cheap queue pop.
             overhead_work = (
                 new_tiles * TILE_WRITE_CYCLES
                 + total_tiles * TILE_CONSUME_CYCLES
-                + plan.num_fragments * FRAGMENT_SETUP_CYCLES
+                + costs.num_fragments * FRAGMENT_SETUP_CYCLES
             )
             self.metrics.count("sage.tiles", total_tiles)
             self.metrics.count("sage.tiles_expanded", new_tiles)
@@ -272,13 +270,13 @@ class SageScheduler(Scheduler):
             # Dynamic scheduling repeats every visit; tiles are consumed
             # sequentially inside their owner block (Figure 4a).
             overhead_work = (
-                plan.elections * ELECTION_CYCLES
-                + plan.num_tiles * TILE_ROUND_CYCLES
-                + num_blocks * plan.levels * PARTITION_CYCLES
-                + plan.num_fragments * FRAGMENT_SETUP_CYCLES
+                costs.elections * ELECTION_CYCLES
+                + costs.num_tiles * TILE_ROUND_CYCLES
+                + num_blocks * costs.levels * PARTITION_CYCLES
+                + costs.num_fragments * FRAGMENT_SETUP_CYCLES
             )
             self.metrics.count("sage.tiles", total_tiles)
-            self.metrics.count("sage.elections", plan.elections)
+            self.metrics.count("sage.elections", costs.elections)
             extra_bytes = 0.0
             per_block = self._per_block_lane_cycles(degrees, spec.block_size)
             placement = block_placement(per_block, spec.num_sms)
@@ -289,7 +287,8 @@ class SageScheduler(Scheduler):
 
         overhead_cycles = overhead_work / spec.num_sms
         if self._reorderer is not None:
-            self._reorderer.observe(edge_dst, seg_starts)
+            assert plan is not None
+            self._reorderer.observe(edge_dst, plan.starts)
             overhead_cycles += (
                 self._reorderer.sampler.tile_sample_rate
                 * total_tiles * SAMPLE_CYCLES / spec.num_sms
@@ -301,7 +300,7 @@ class SageScheduler(Scheduler):
             per_sm_lane_cycles=placement,
             value_sector_touches=touches,
             value_sector_unique=unique,
-            csr_sector_touches=csr_sectors,
+            csr_sector_touches=costs.csr_sectors,
             concurrency_warps=max(1.0, concurrency),
             overhead_cycles=overhead_cycles,
             extra_dram_bytes=extra_bytes,

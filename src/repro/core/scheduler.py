@@ -93,6 +93,11 @@ class Scheduler(ABC):
                 node's slice sorted ascending — the CSR invariant).
             graph: the current graph.
             app: the running application (atomicity, access factor).
+
+        ``edge_dst`` must be ``graph.expand_frontier(frontier)[1]``:
+        schedulers may take per-node costs from tables built on
+        ``graph`` rather than from the batch (a sanitizer, when
+        attached, reports a batch that disagrees).
         """
 
     def post_level(self, graph: CSRGraph) -> ReorderCommit | None:
@@ -144,7 +149,7 @@ class SectorAccounting:
 
 def value_sector_accounting(
     edge_dst: np.ndarray,
-    segment_starts: np.ndarray,
+    segment_starts: np.ndarray | None,
     spec: GPUSpec,
     *,
     presorted: bool,
@@ -162,9 +167,8 @@ def value_sector_accounting(
             same instance to :func:`atomic_conflicts_for` to compute the
             kernel-wide sector set once.
         raw_touches: precomputed unscaled per-segment distinct-sector sum
-            for this exact ``(edge_dst, segment_starts)`` pair (from a
-            scheduler's kernel-accounting memo); skips the segmented
-            count when provided.
+            of this batch (from SAGE's per-node cost table); skips the
+            segmented count, so ``segment_starts`` may then be None.
 
     Returns:
         ``(touches, unique)`` — per-tile distinct sectors summed, and the

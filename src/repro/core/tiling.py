@@ -14,16 +14,31 @@ This module computes that decomposition for a whole frontier at once,
 fully vectorized, in frontier coordinates (tiles refer to positions in
 the concatenated expanded edge array).  Both the SAGE engine and the
 Resident Tile store are built on it.
+
+A node's tiles are a pure function of the node (what lets Resident Tile
+Stealing, Section 5.2, reuse them on every revisit), so the engine does
+not plan a kernel's segments at all: :func:`node_costs` tabulates each
+node's cost once per graph, and a kernel's totals are an O(|frontier|)
+sum over that table.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.gpusim.memory import (
+    coalesced_sectors,
+    segmented_distinct_sectors,
+    segmented_distinct_total,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.graph.csr import CSRGraph
 
 #: Default smallest cooperative tile (the paper's MIN_TILE_SIZE).
 DEFAULT_MIN_TILE = 8
@@ -227,6 +242,168 @@ def segment_plan(
         elections=int(np.count_nonzero(blocks)) + small_tiles,
         levels=table.levels,
         min_tile=min_tile,
+    )
+
+
+@dataclass(frozen=True)
+class FrontierCosts:
+    """Totals of one kernel's tiles and fragments.
+
+    Attributes:
+        counts: segments (tiles + fragment) per frontier node, in
+            frontier order; what :meth:`ResidentTileStore.visit` stores.
+        num_tiles: cooperative tiles over the frontier.
+        num_fragments: fragment segments (below ``min_tile``).
+        elections: leader elections (Algorithm 2).
+        levels: tile-size levels of the partition.
+        csr_sectors: coalesced CSR adjacency-read sectors of all segments.
+        value_sectors: distinct value sectors per segment, summed (before
+            the app's access factor).
+    """
+
+    counts: np.ndarray
+    num_tiles: int
+    num_fragments: int
+    elections: int
+    levels: int
+    csr_sectors: int
+    value_sectors: int
+
+    def totals(self) -> dict[str, int]:
+        """The scalar totals, by name (what the sanitizer compares)."""
+        return {
+            "num_tiles": self.num_tiles,
+            "num_fragments": self.num_fragments,
+            "elections": self.elections,
+            "csr_sectors": self.csr_sectors,
+            "value_sectors": self.value_sectors,
+        }
+
+
+@functools.lru_cache(maxsize=32)
+def _csr_sector_table(
+    block_size: int, min_tile: int, sector_width: int, aligned: bool
+) -> tuple[int, np.ndarray]:
+    """Coalesced read sectors of one block tile, and of each remainder's tail."""
+    table = _remainder_table(block_size, min_tile)
+    block = int(coalesced_sectors(np.array([block_size]), sector_width, aligned=aligned)[0])
+    # Padding zeros read no sector, aligned or not.
+    tail = coalesced_sectors(table.tail, sector_width, aligned=aligned).sum(axis=0)
+    tail.setflags(write=False)
+    return block, tail
+
+
+@dataclass(frozen=True)
+class NodeCosts:
+    """Per-node Tiled Partitioning costs of one graph.
+
+    Only ``value_sectors`` depends on the adjacency lists; every other
+    term is a function of the degree and comes from the remainder table
+    at kernel time.
+
+    Attributes:
+        value_sectors: read-only, per node: the distinct value sectors of
+            each of its segments, summed.  Stored in the smallest
+            unsigned dtype that holds the largest entry.
+    """
+
+    value_sectors: np.ndarray
+    block_size: int
+    min_tile: int
+    sector_width: int
+    aligned: bool
+
+    def frontier_costs(self, frontier: np.ndarray, degrees: np.ndarray) -> FrontierCosts:
+        """Totals of the kernel over ``frontier`` (whose out-degrees are
+        ``degrees``), in O(|frontier|) gathers.
+
+        Each occurrence of a repeated node counts, as it does in the
+        expanded batch.  Equal to :func:`plan_costs` of the frontier's
+        :func:`segment_plan` over ``graph.expand_frontier(frontier)[1]``.
+        """
+        block_size = self.block_size
+        table = _remainder_table(block_size, self.min_tile)
+        block_csr, tail_csr = _csr_sector_table(
+            block_size, self.min_tile, self.sector_width, self.aligned
+        )
+        degrees = np.asarray(degrees, dtype=np.int64)
+        blocks = degrees // block_size
+        rem = degrees - blocks * block_size
+        hist = np.bincount(rem, minlength=block_size)
+        small_tiles = int(hist @ table.small_tiles)
+        num_blocks = int(blocks.sum())
+        return FrontierCosts(
+            counts=blocks + table.tail_len[rem],
+            num_tiles=num_blocks + small_tiles,
+            num_fragments=int(hist @ table.fragment),
+            elections=int(np.count_nonzero(blocks)) + small_tiles,
+            levels=table.levels,
+            csr_sectors=num_blocks * block_csr + int(hist @ tail_csr),
+            value_sectors=int(self.value_sectors[frontier].sum(dtype=np.int64)),
+        )
+
+
+def _node_value_sectors(
+    graph: CSRGraph, block_size: int, min_tile: int, sector_width: int
+) -> np.ndarray:
+    """:attr:`NodeCosts.value_sectors` from one all-nodes plan.
+
+    The expansion of ``arange(n)`` is ``targets`` itself, so the plan's
+    segments are slices of ``targets``; a node's entry is the sum over
+    its ``counts`` consecutive segments.
+    """
+    plan = segment_plan(graph.out_degrees(), block_size, min_tile)
+    per_segment = segmented_distinct_sectors(
+        graph.targets, plan.starts, sector_width, presorted=True
+    )
+    segment_sums = np.zeros(per_segment.size + 1, dtype=np.int64)
+    np.cumsum(per_segment, out=segment_sums[1:])
+    node_bounds = np.zeros(graph.num_nodes + 1, dtype=np.int64)
+    np.cumsum(plan.counts, out=node_bounds[1:])
+    per_node = np.diff(segment_sums[node_bounds])
+    column = per_node.astype(np.min_scalar_type(int(per_node.max(initial=0))))
+    column.setflags(write=False)
+    return column
+
+
+def node_costs(
+    graph: CSRGraph,
+    block_size: int,
+    min_tile: int,
+    sector_width: int,
+    aligned: bool,
+) -> NodeCosts:
+    """The per-node cost table of ``graph`` for one tiling configuration.
+
+    The value-sector column is built once per graph (O(|E|)) and cached on
+    it for every alignment; kernels then cost O(|frontier|).
+    """
+    column = graph.derived(
+        ("node_value_sectors", block_size, min_tile, sector_width),
+        lambda g: _node_value_sectors(g, block_size, min_tile, sector_width),
+    )
+    return NodeCosts(column, block_size, min_tile, sector_width, aligned)
+
+
+def plan_costs(
+    plan: SegmentPlan,
+    edge_dst: np.ndarray,
+    sector_width: int,
+    aligned: bool,
+) -> FrontierCosts:
+    """:class:`FrontierCosts` of a kernel counted segment by segment.
+
+    The per-kernel formulation :meth:`NodeCosts.frontier_costs` replaces;
+    the sanitizer audits the table against it.
+    """
+    return FrontierCosts(
+        counts=plan.counts,
+        num_tiles=plan.num_tiles,
+        num_fragments=plan.num_fragments,
+        elections=plan.elections,
+        levels=plan.levels,
+        csr_sectors=int(coalesced_sectors(plan.sizes, sector_width, aligned=aligned).sum()),
+        value_sectors=segmented_distinct_total(edge_dst, plan.starts, sector_width),
     )
 
 

@@ -12,12 +12,22 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, TypeVar
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.coo import COOGraph, EDGE_DTYPE
+
+T = TypeVar("T")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr`` (the caller's array stays writable)."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -30,15 +40,21 @@ class CSRGraph:
             node ``u`` is ``targets[offsets[u]:offsets[u + 1]]``.
         targets: int64 array of length ``num_edges``; each per-node slice
             is sorted ascending (construction guarantees this).
+
+    Both arrays are read-only views, so every value :meth:`derived`
+    caches stays a function of the graph it was built from.
     """
 
     num_nodes: int
     offsets: np.ndarray
     targets: np.ndarray
+    _derived: dict[Hashable, Any] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        offsets = np.ascontiguousarray(self.offsets, dtype=EDGE_DTYPE)
-        targets = np.ascontiguousarray(self.targets, dtype=EDGE_DTYPE)
+        offsets = _read_only(np.ascontiguousarray(self.offsets, dtype=EDGE_DTYPE))
+        targets = _read_only(np.ascontiguousarray(self.targets, dtype=EDGE_DTYPE))
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "targets", targets)
         if offsets.ndim != 1 or offsets.size != self.num_nodes + 1:
@@ -106,6 +122,32 @@ class CSRGraph:
         return cls.from_coo(coo)
 
     # ------------------------------------------------------------------
+    # Derived values
+    # ------------------------------------------------------------------
+
+    def derived(self, key: Hashable, build: Callable[["CSRGraph"], T]) -> T:
+        """The value ``key`` of this graph, built once by ``build(self)``.
+
+        For values that are pure functions of ``(offsets, targets)``
+        (per-node cost tables, synthetic edge weights): the graph is
+        immutable, so the first build is reused for the graph's lifetime
+        and freed with it.  Every transformation returns a new graph
+        with an empty cache.  Threads racing on a first call may each
+        build, but all of them get the value stored first.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, build(self))
+
+    def all_nodes(self) -> np.ndarray:
+        """Read-only ``arange(num_nodes)``: the full frontier."""
+        return self.derived(
+            "all_nodes",
+            lambda g: _read_only(np.arange(g.num_nodes, dtype=EDGE_DTYPE)),
+        )
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
@@ -159,8 +201,26 @@ class CSRGraph:
         in ``targets`` (used e.g. to look up edge weights).  Fully
         vectorized multi-range gather; this is the hot path of every
         traversal iteration.
+
+        The full frontier ``arange(num_nodes)`` (every PageRank
+        iteration) skips the gather: ``edge_dst`` is ``targets`` itself
+        and ``edge_pos`` is ``arange(num_edges)``.  All three arrays are
+        read-only on that path.
         """
         frontier = np.asarray(frontier, dtype=EDGE_DTYPE)
+        if frontier.size == self.num_nodes and np.array_equal(
+            frontier, self.all_nodes()
+        ):
+            edge_src = np.repeat(self.all_nodes(), self.out_degrees())
+            edge_pos = np.arange(self.num_edges, dtype=EDGE_DTYPE)
+            return _read_only(edge_src), self.targets, _read_only(edge_pos)
+        return self._gather_ranges(frontier)
+
+    def _gather_ranges(
+        self, frontier: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The general path of :meth:`expand_frontier`: one adjacency
+        range per frontier node, gathered from ``targets``."""
         starts = self.offsets[frontier]
         counts = self.offsets[frontier + 1] - starts
         total = int(counts.sum())

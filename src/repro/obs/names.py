@@ -34,8 +34,6 @@ SAGE_COUNTERS: frozenset[str] = frozenset(
         "sage.tiles_expanded",
         "sage.tiles_stolen_resident",
         "sage.elections",
-        "sage.decomp_cache_hits",
-        "sage.edge_accounting_cache_hits",
     }
 )
 
@@ -113,6 +111,7 @@ SANITIZER_COUNTERS: frozenset[str] = frozenset(
         "sanitizer.nonmonotone_level",
         "sanitizer.invalid_permutation",
         "sanitizer.work_unit_gap",
+        "sanitizer.cost_table_mismatch",
         "sanitizer.kernel_stats_inconsistent",
     }
 )

@@ -20,6 +20,7 @@ from repro.analysis import FINDING_CODES, Finding, Sanitizer, SanitizerError
 from repro.apps import BFSApp, PageRankApp
 from repro.cli import main
 from repro.core import SageScheduler, run_app
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.gpusim.cost import KernelStats
 from repro.gpusim.device import Device
@@ -148,6 +149,27 @@ class TestSeededHazards:
             np.array([4]), np.array([1]), total_edges=6
         )
         assert _codes(sanitizer.findings) == ["work_unit_gap"]
+
+    def test_cost_table_mismatch_on_foreign_batch(self):
+        # Two graphs with the same degrees but different adjacency: the
+        # other graph's batch is not this graph's expansion of [0].
+        src = np.zeros(40, dtype=np.int64)
+        graph = CSRGraph.from_edges(64, src, np.arange(40))
+        other = CSRGraph.from_edges(64, src, np.r_[0:20, 44:64])
+        frontier = np.array([0], dtype=np.int64)
+        degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+        app = BFSApp()
+        app.setup(graph, 0)
+        for batch_of, want in ((graph, []), (other, ["cost_table_mismatch"])):
+            sanitizer = _begin(graph, app)
+            scheduler = SageScheduler()
+            scheduler.set_sanitizer(sanitizer)
+            scheduler.reset(graph)
+            edge_dst = batch_of.expand_frontier(frontier)[1]
+            scheduler.kernel_stats(frontier, degrees, edge_dst, graph, app)
+            assert _codes(sanitizer.findings) == want
+        (finding,) = sanitizer.findings
+        assert set(finding.details) == {"value_sectors"}
 
     def test_kernel_stats_inconsistent(self, tiny_graph):
         sanitizer = _begin(tiny_graph, BFSApp())

@@ -11,13 +11,20 @@ sort) are held to the same standard: identical permutations, counters
 and arrays.  So are the per-iteration traversal paths: the table-driven
 segment plan, the bitmap contraction, the one-repeat frontier expansion,
 the segmented distinct total, and the single-device multi-GPU runner.
+The per-node cost table and the full-frontier expansion are held to the
+per-kernel segment plan they replace.
 """
+
+import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import Sanitizer
 from repro.apps import BFSApp, PageRankApp, SSSPApp
 from repro.apps.base import contract
 from repro.core import SageScheduler, TraversalPipeline
@@ -26,6 +33,8 @@ from repro.core.tiling import (
     DEFAULT_MIN_TILE,
     decompose_frontier,
     decompose_frontier_reference,
+    node_costs,
+    plan_costs,
     segment_plan,
 )
 from repro.gpusim.memory import (
@@ -469,3 +478,244 @@ class TestCOOSortedEquivalence:
         order = np.lexsort((dst, src))
         np.testing.assert_array_equal(got.src, src[order])
         np.testing.assert_array_equal(got.dst, dst[order])
+
+
+@st.composite
+def cost_cases(draw):
+    """(graph, frontier, block_size, min_tile, sector_width, aligned).
+
+    Degrees include zeros and exact block multiples; the frontier may
+    repeat nodes.
+    """
+    block_size, min_tile = draw(st.sampled_from([(256, 8), (64, 1), (8, 8)]), label="sizes")
+    n = draw(st.integers(1, 12), label="n")
+    degree = st.one_of(
+        st.integers(0, 2 * block_size + 9),
+        st.integers(0, 2).map(lambda k: k * block_size),
+    )
+    degrees = np.asarray(draw(st.lists(degree, min_size=n, max_size=n)), dtype=np.int64)
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    width = max(n, 4 * int(degrees.max(initial=0)))
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    # Targets spread over a wider id range than n keeps sector counts varied.
+    graph = CSRGraph.from_edges(width, src, rng.integers(0, width, size=src.size))
+    frontier = np.asarray(
+        draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="frontier"),
+        dtype=np.int64,
+    )
+    sector_width = draw(st.sampled_from([1, 8]), label="sector_width")
+    aligned = draw(st.booleans(), label="aligned")
+    return graph, frontier, block_size, min_tile, sector_width, aligned
+
+
+class TestNodeCostsEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(cost_cases())
+    def test_matches_plan_path(self, case):
+        graph, frontier, block_size, min_tile, sector_width, aligned = case
+        degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+        table = node_costs(graph, block_size, min_tile, sector_width, aligned)
+        got = table.frontier_costs(frontier, degrees)
+        plan = segment_plan(degrees, block_size, min_tile)
+        want = plan_costs(plan, graph.expand_frontier(frontier)[1], sector_width, aligned)
+        assert got.totals() == want.totals()
+        assert got.levels == want.levels
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_column_is_compact_read_only_and_shared(self):
+        graph = rmat(10, 8, seed=2)
+        aligned = node_costs(graph, 256, 8, 8, aligned=True)
+        unaligned = node_costs(graph, 256, 8, 8, aligned=False)
+        assert aligned.value_sectors is unaligned.value_sectors
+        assert aligned.value_sectors.dtype.itemsize < 8
+        assert not aligned.value_sectors.flags.writeable
+
+    def test_derived_cache_starts_empty_on_new_versions(self):
+        graph = rmat(8, 4, seed=1)
+        node_costs(graph, 256, DEFAULT_MIN_TILE, 8, aligned=True)
+        perm = np.arange(graph.num_nodes)[::-1].copy()
+        for version in (
+            graph.permute(perm),
+            graph.with_edges_added(np.array([0]), np.array([1])),
+        ):
+            assert version._derived == {}
+
+
+def _assert_stats_equal(got, want):
+    for f in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), err_msg=f.name)
+
+
+class _RecordingSage(SageScheduler):
+    """SAGE scheduler recording every kernel; ``reference`` swaps in the
+    per-kernel segment-plan formulation."""
+
+    def __init__(self, *, reference=False, **kwargs):
+        super().__init__(**kwargs)
+        self.reference = reference
+        self.kernels = []
+
+    def _tiled_stats(self, *args):
+        if self.reference:
+            stats = self._tiled_stats_reference(*args)
+        else:
+            stats = super()._tiled_stats(*args)
+        self.kernels.append(stats)
+        return stats
+
+
+SAGE_CONFIGS = {
+    "tp+rts": {},
+    "tp": {"resident_stealing": False},
+    "tp+rts+sr": {"sampling_reorder": True, "reorder_threshold_edges": 2000},
+    "tp+sr-unaligned": {
+        "resident_stealing": False,
+        "sampling_reorder": True,
+        "reorder_threshold_edges": 2000,
+        "tile_alignment": False,
+    },
+}
+
+
+class TestTiledStatsEquivalence:
+    @pytest.mark.parametrize("config", list(SAGE_CONFIGS), ids=list(SAGE_CONFIGS))
+    @pytest.mark.parametrize(
+        "make_app, source",
+        [(BFSApp, 3), (lambda: PageRankApp(max_iterations=5), None), (SSSPApp, 3)],
+        ids=["bfs", "pr", "sssp"],
+    )
+    @pytest.mark.parametrize("sanitized", [False, True], ids=["plain", "sanitized"])
+    def test_kernel_stats_match_reference(self, config, make_app, source, sanitized):
+        graph = rmat(9, 8, seed=4)
+        runs = []
+        for reference in (False, True):
+            scheduler = _RecordingSage(reference=reference, **SAGE_CONFIGS[config])
+            metrics = MetricsRegistry()
+            sanitizer = Sanitizer() if sanitized else None
+            pipeline = TraversalPipeline(graph, scheduler, metrics=metrics, sanitizer=sanitizer)
+            result = pipeline.run(make_app(), source)
+            if sanitizer is not None:
+                assert sanitizer.clean, sanitizer.format_summary()
+            runs.append((scheduler, metrics, result))
+        (fast, fast_metrics, fast_run), (ref, ref_metrics, ref_run) = runs
+        assert len(fast.kernels) == len(ref.kernels) > 0
+        for got, want in zip(fast.kernels, ref.kernels):
+            _assert_stats_equal(got, want)
+        assert fast_metrics.counters == ref_metrics.counters
+        assert fast_run.seconds == ref_run.seconds
+        assert fast_run.reorder_commits == ref_run.reorder_commits
+        for key in ref_run.result:
+            np.testing.assert_array_equal(fast_run.result[key], ref_run.result[key])
+
+    def test_duplicate_frontier_entries_sum_per_occurrence(self):
+        graph = rmat(8, 8, seed=3)
+        frontier = np.array([5, 5, 0, 7, 5, 0], dtype=np.int64)
+        degrees = graph.offsets[frontier + 1] - graph.offsets[frontier]
+        edge_dst = graph.expand_frontier(frontier)[1]
+        app = BFSApp()
+        app.setup(graph, 0)
+        stats = []
+        for reference in (False, True):
+            scheduler = _RecordingSage(reference=reference)
+            scheduler.reset(graph)
+            stats.append(scheduler.kernel_stats(frontier, degrees, edge_dst, graph, app))
+        _assert_stats_equal(*stats)
+
+
+class TestFullFrontierExpansion:
+    @settings(max_examples=80, deadline=None)
+    @given(edge_lists())
+    def test_matches_general_formula(self, case):
+        n, src, dst = case
+        graph = CSRGraph.from_edges(n, src, dst)
+        frontier = np.arange(n, dtype=np.int64)
+        got = graph.expand_frontier(frontier)
+        edge_src, edge_dst, edge_pos = got
+        want = _expand_positions_reference(graph, frontier)
+        assert edge_pos.dtype == want.dtype
+        np.testing.assert_array_equal(edge_pos, want)
+        np.testing.assert_array_equal(edge_dst, graph.targets[want])
+        np.testing.assert_array_equal(edge_src, np.repeat(frontier, graph.out_degrees()))
+        for fast, general in zip(got, graph._gather_ranges(frontier)):
+            assert fast.dtype == general.dtype
+            np.testing.assert_array_equal(fast, general)
+        assert edge_dst is graph.targets
+        for arr in (edge_src, edge_dst, edge_pos):
+            assert not arr.flags.writeable
+
+    def test_permuted_full_frontier_takes_the_general_path(self):
+        graph = rmat(7, 4, seed=5)
+        frontier = np.arange(graph.num_nodes, dtype=np.int64)[::-1].copy()
+        edge_src, edge_dst, edge_pos = graph.expand_frontier(frontier)
+        np.testing.assert_array_equal(edge_pos, _expand_positions_reference(graph, frontier))
+        assert edge_dst.flags.writeable
+
+
+class TestReadOnlyCSR:
+    def test_in_place_writes_raise(self):
+        offsets = np.array([0, 2, 3], dtype=np.int64)
+        targets = np.array([0, 1, 1], dtype=np.int64)
+        graph = CSRGraph(2, offsets, targets)
+        with pytest.raises(ValueError):
+            graph.offsets[1] = 1
+        with pytest.raises(ValueError):
+            graph.targets[0] = 1
+        with pytest.raises(ValueError):
+            graph.targets.sort()
+        # The caller's own arrays stay writable.
+        targets[0] = 0
+        assert offsets.flags.writeable and targets.flags.writeable
+
+
+class TestDerivedCacheThreads:
+    def test_racing_first_calls_share_one_value(self):
+        graph = rmat(12, 8, seed=6)
+        results = []
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=60)
+            results.append(node_costs(graph, 256, DEFAULT_MIN_TILE, 8, True).value_sectors)
+            results.append(graph.all_nodes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 16
+        column, nodes = results[0::2], results[1::2]
+        assert all(value is column[0] for value in column)
+        assert all(value is nodes[0] for value in nodes)
+
+
+class TestTwoGpuRunnerEquivalence:
+    @pytest.mark.parametrize(
+        "make_app, source",
+        [(BFSApp, 3), (lambda: PageRankApp(max_iterations=10), None), (SSSPApp, 3)],
+        ids=["bfs", "pr", "sssp"],
+    )
+    def test_matches_reference_scheduler(self, make_app, source):
+        graph = rmat(9, 8, seed=4)
+        assignment = np.arange(graph.num_nodes, dtype=np.int64) % 2
+        runs = [
+            MultiGpuRunner(
+                lambda reference=reference: _RecordingSage(reference=reference),
+                assignment,
+                num_gpus=2,
+            ).run(graph, make_app(), source)
+            for reference in (False, True)
+        ]
+        fast, ref = runs
+        assert fast.seconds == ref.seconds
+        assert fast.iterations == ref.iterations
+        assert fast.node_trace == ref.node_trace
+        for key in ref.result:
+            np.testing.assert_array_equal(fast.result[key], ref.result[key])
