@@ -16,10 +16,10 @@ functions; library users should start here instead of wiring
     with repro.api.cluster({"g": graph}, num_replicas=2) as pool:
         response = pool.submit(request).result()
 
-``run`` replaces the deprecated ``run_app(..., sanitizer=...)``
-spelling (``checks=True`` wires the kernel hazard sanitizer and returns
-it on the result), and ``serve``/``cluster`` replace direct
-:class:`QueryBroker` construction.  The maps :data:`APPS` and
+``run(..., checks=True)`` wires the kernel hazard sanitizer and returns
+it on the result, and ``serve``/``cluster`` wire a
+:class:`QueryBroker` or a replica pool from graphs, a scheduler name and
+an auto-loaded profile.  The maps :data:`APPS` and
 :data:`SCHEDULERS` are the canonical name → factory registries; the CLI
 imports them from here.
 
@@ -84,6 +84,7 @@ from repro.serve.loadgen import (
     ServeBenchReport,
     generate_queries,
     open_loop_arrivals,
+    publish_report_gauges,
     sequential_baseline,
     simulate_open_loop,
 )
@@ -257,8 +258,7 @@ def run(
     """Run one application to convergence on the simulated device.
 
     ``checks=True`` audits every kernel with the hazard sanitizer
-    (:mod:`repro.analysis`) and returns it as ``result.checks`` — this
-    replaces the deprecated ``run_app(..., sanitizer=...)`` spelling.
+    (:mod:`repro.analysis`) and returns it as ``result.checks``.
     ``source`` defaults to the highest-out-degree node for apps that
     need one.
     """
@@ -312,8 +312,8 @@ def serve(
 ) -> QueryBroker:
     """Start a single micro-batching query broker (a context manager).
 
-    This is the supported way to construct a broker — direct
-    :class:`QueryBroker` construction is deprecated.  A bare
+    Unlike direct :class:`QueryBroker` construction, this resolves the
+    scheduler by name and applies tuned profiles.  A bare
     :class:`CSRGraph` is registered under the handle ``"default"``.
 
     With the default ``profile="auto"`` a committed tuned profile
@@ -342,7 +342,7 @@ def serve(
             max_batch_size = tuned.point.max_batch_size
         if scheduler == "sage":
             factory = tuned.point.scheduler_factory()
-    return QueryBroker(  # sage: allow(SAGE005) - the sanctioned constructor
+    return QueryBroker(
         graphs,
         factory,
         batch_window=batch_window if batch_window is not None else 0.01,
@@ -353,7 +353,6 @@ def serve(
         max_retries=max_retries,
         metrics=metrics,
         race_check=race_check,
-        _internal=True,
     )
 
 
@@ -517,9 +516,10 @@ def bench(
         max_batch_size=max_batch_size,
         num_workers=num_workers,
         sequential_seconds=sequential,
-        metrics=metrics if replicas < 1 else None,
     )
     if replicas < 1:
+        if metrics is not None:
+            publish_report_gauges(metrics, serve_report)
         return serve_report
     _, cluster_report = simulate_cluster_open_loop(
         {"bench": graph}, requests, arrivals, factory,

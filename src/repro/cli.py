@@ -367,7 +367,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             max_batch_size=args.max_batch_size,
             num_workers=args.workers,
             sequential_seconds=sequential,
-            metrics=metrics,
         )
     else:
         _, report = run_closed_loop(

@@ -68,8 +68,6 @@ def direction_optimized_bfs(
     source: int,
     *,
     config: HybridConfig | None = None,
-    alpha: float | None = None,
-    beta: float | None = None,
     max_iterations: int = 100_000,
 ) -> tuple[RunResult, HybridStats]:
     """BFS with per-iteration push/pull direction selection.
@@ -81,8 +79,6 @@ def direction_optimized_bfs(
             drive the push (forward CSR) and pull (transpose) kernels.
         source: BFS root.
         config: Beamer switching thresholds (:class:`HybridConfig`).
-        alpha, beta: deprecated loose spellings of the thresholds; pass
-            ``config=HybridConfig(alpha=..., beta=...)`` instead.
 
     Returns:
         ``(RunResult, HybridStats)`` — the result's ``dist`` matches a
@@ -90,19 +86,6 @@ def direction_optimized_bfs(
     """
     if not 0 <= source < graph.num_nodes:
         raise InvalidParameterError(f"source {source} out of range")
-    if alpha is not None or beta is not None:
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "hybrid.alpha_beta",
-            "direction_optimized_bfs(..., alpha=, beta=) is deprecated; "
-            "pass config=HybridConfig(alpha=..., beta=...) instead",
-        )
-        base = config if config is not None else HybridConfig()
-        config = HybridConfig(
-            alpha=base.alpha if alpha is None else alpha,
-            beta=base.beta if beta is None else beta,
-        )
     if config is None:
         config = HybridConfig()
     alpha_threshold = config.alpha

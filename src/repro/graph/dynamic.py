@@ -12,14 +12,11 @@ deployment needs:
 * update listeners — every merge fires listeners with ``(new_csr,
   delta)`` where the :class:`~repro.graph.delta.GraphDelta` describes
   exactly which edge instances changed; incremental algorithms repair
-  from it and the serving cache invalidates selectively.  Legacy
-  single-argument listeners (pre-delta ``Callable[[CSRGraph], None]``)
-  are auto-adapted with a one-time deprecation warning.
+  from it and the serving cache invalidates selectively.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable
 
 import numpy as np
@@ -31,29 +28,6 @@ from repro.graph.delta import GraphDelta, apply_edge_updates
 
 #: The delta-aware listener contract fired after every merge.
 UpdateListener = Callable[[CSRGraph, GraphDelta], None]
-
-
-def _adapt_listener(callback: Callable[..., None]) -> UpdateListener:
-    """Accept both listener generations behind one call signature.
-
-    Delta-aware listeners (two positional parameters) pass through;
-    legacy single-argument listeners are wrapped to drop the delta,
-    with an exactly-once deprecation warning at registration time.
-    """
-    try:
-        inspect.signature(callback).bind(None, None)
-    except TypeError:
-        from repro.deprecation import warn_once
-
-        warn_once(
-            "dynamic.add_listener.single_arg",
-            "single-argument DynamicGraph listeners are deprecated; "
-            "accept (graph: CSRGraph, delta: GraphDelta) instead",
-        )
-        return lambda graph, delta: callback(graph)
-    except ValueError:  # pragma: no cover - signature-less builtins
-        pass
-    return callback  # type: ignore[return-value]
 
 
 class DynamicGraph:
@@ -112,15 +86,14 @@ class DynamicGraph:
         self._pending_count += src.size
         self._maybe_flush()
 
-    def add_listener(self, callback: Callable[..., None]) -> None:
+    def add_listener(self, callback: UpdateListener) -> None:
         """Register a callback fired with ``(new_csr, delta)`` per merge.
 
         The SAGE engine registers its resident-tile invalidation here;
         the serving :class:`~repro.serve.cache.GraphStore` fans the
-        delta out to replicas and the cache.  Legacy single-argument
-        callbacks still work (adapted with a warn-once deprecation).
+        delta out to replicas and the cache.
         """
-        self._listeners.append(_adapt_listener(callback))
+        self._listeners.append(callback)
 
     # ------------------------------------------------------------------
     # State

@@ -23,7 +23,6 @@ from repro.serve.batching import (
     BatchItem,
     MicroBatcher,
     batch_key,
-    occupancy_mean,
 )
 from repro.serve.broker import (
     BrokerStats,
@@ -127,7 +126,6 @@ __all__ = [
     "graph_fingerprint",
     "make_single_app",
     "normalize_params",
-    "occupancy_mean",
     "open_loop_arrivals",
     "publish_cluster_gauges",
     "publish_report_gauges",

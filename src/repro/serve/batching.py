@@ -5,9 +5,12 @@ same application and parameters (:func:`batch_key`) — exactly the
 condition under which the MS-BFS-style batched executor answers them
 with one traversal.  :class:`MicroBatcher` is pure and deterministic: it
 maps a list of timestamped arrivals to a list of :class:`Batch` objects
-without touching a clock, so the threaded broker and the virtual-time
-load simulator share one batching policy and the differential tests can
-sweep batch boundaries reproducibly.
+without touching a clock.  It is the policy's reference: the threaded
+broker (:mod:`repro.serve.broker`) and the virtual-time simulator
+(:func:`~repro.serve.cluster.simulate_cluster_open_loop`) each apply
+the window incrementally, and a hypothesis property checks that the
+simulator forms exactly the batches :meth:`MicroBatcher.form_batches`
+forms.
 
 Policy (per compatibility key, arrivals in time order): the first
 pending query *opens* a batch at its arrival time; queries arriving
@@ -127,9 +130,3 @@ class MicroBatcher:
             batch.batch_id = bid
         return batches
 
-
-def occupancy_mean(batches: list[Batch]) -> float:
-    """Mean queries per batch (0.0 for empty traffic)."""
-    if not batches:
-        return 0.0
-    return sum(b.size for b in batches) / len(batches)

@@ -36,7 +36,6 @@ import numpy as np
 from repro.analysis.races import RaceDetector
 from repro.analysis.races import instrument as races
 from repro.core.scheduler import Scheduler
-from repro.deprecation import warn_once
 from repro.errors import (
     AdmissionError,
     DeadlineExceededError,
@@ -174,15 +173,7 @@ class QueryBroker:
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
         race_check: bool = False,
-        _internal: bool = False,
     ) -> None:
-        if not _internal:
-            warn_once(
-                "QueryBroker",
-                "constructing QueryBroker directly is deprecated; use "
-                "repro.api.serve(...) which wires graphs, scheduler and "
-                "metrics consistently",
-            )
         if batch_window < 0:
             raise InvalidParameterError("batch_window must be >= 0")
         if max_batch_size < 1:

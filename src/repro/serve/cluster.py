@@ -19,11 +19,15 @@ front door that adds three things a single broker does not have:
   never surface a stale read.
 
 :func:`simulate_cluster_open_loop` is the deterministic virtual-time
-twin (same batching policy, same admission and cache objects, virtual
-clock), which is what the CI benchmark tier gates; the threaded pool is
-for exercising the stack end to end.  Both uphold the serving
-invariant: a response is either bit-identical to the direct oracle or a
-structured non-``OK`` status — never a wrong answer.
+twin (the :class:`~repro.serve.batching.MicroBatcher` policy, the same
+admission and cache objects, ``num_workers`` device slots per replica,
+virtual clock), which is what the CI benchmark tier gates; the threaded
+pool is for exercising the stack end to end.  It is the repository's
+only virtual-time serving loop: the single-broker
+:func:`~repro.serve.loadgen.simulate_open_loop` is a one-replica preset
+of it.  Both uphold the serving invariant: a response is either
+bit-identical to the direct oracle or a structured non-``OK`` status —
+never a wrong answer.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from repro.serve.batching import BatchKey, batch_key
 from repro.serve.broker import PendingQuery, QueryBroker
 from repro.serve.cache import CacheKey, GraphStore, ResultCache, result_cache_key
 from repro.serve.executor import BatchExecutor
-from repro.serve.loadgen import _percentiles
 from repro.serve.pipelined import (
     PipelineConfig,
     PipelinedExecutor,
@@ -75,7 +78,11 @@ ROUTING_POLICIES = ("round_robin", "least_outstanding", "affinity")
 # stale entries, then window *flushes* dispatch new batches — so a batch
 # dispatched at time t always executes against every update due at t,
 # and a completion never caches under an epoch bumped at the same
-# instant.  The regression test in tests/serve/ pins these constants;
+# instant.  An arrival at t sees every completion and update due at t
+# but no flush due at t: a window still admits an arrival at its
+# closing instant, as MicroBatcher's policy says, and batches ready at
+# t dispatch after the arrivals at t have joined them.
+# The regression test in tests/serve/ pins these constants;
 # new event sources (e.g. pipeline device events) must pick one of them
 # rather than invent an ordering.
 EVENT_COMPLETION = 0
@@ -170,7 +177,9 @@ class ClusterBenchReport:
 
     @property
     def replica_occupancy_mean(self) -> float:
-        """Mean busy fraction of the replicas over the makespan."""
+        """Mean device-seconds per replica over the makespan (a busy
+        fraction per replica, up to ``num_workers`` with several
+        device slots)."""
         if self.makespan_seconds <= 0 or not self.per_replica_sim_seconds:
             return 0.0
         busy = [
@@ -291,15 +300,25 @@ class _Member:
     deadline: float | None
 
 
-@dataclass
+@dataclass(eq=False)
 class _OpenBatch:
-    """A forming batch on one replica (mirrors MicroBatcher policy)."""
+    """A batch forming on one replica under the MicroBatcher policy.
+
+    ``close_time`` is when it dispatches: the end of its window, or the
+    filling member's arrival once it holds ``max_batch_size`` members.
+    """
 
     replica: int
     key: BatchKey
     open_time: float
     close_time: float
     members: list[_Member]
+
+
+def _flush_rank(batch: _OpenBatch) -> tuple[float, int, float, str]:
+    """Dispatch order of batches: MicroBatcher's ``(ready, open, key)``
+    within a replica, replicas in index order at equal ready times."""
+    return (batch.close_time, batch.replica, batch.open_time, repr(batch.key))
 
 
 @dataclass
@@ -326,6 +345,21 @@ def _busy_total(pipes: list[ReplicaPipeline], sim_total: float) -> float:
     return min(sum(p.device.busy_seconds for p in pipes), sim_total)
 
 
+def _percentiles(responses: list[QueryResponse]) -> tuple[float, float, float]:
+    """p50/p95/p99 latency of the served (``OK``) responses.
+
+    Shed, throttled and failed responses are counted in ``status_counts``
+    only: a shed response's latency of 0 would pull every percentile
+    down under exactly the overload the report is meant to show.
+    """
+    latencies = [r.latency_seconds for r in responses
+                 if r.status is QueryStatus.OK]
+    if not latencies:
+        return (0.0, 0.0, 0.0)
+    p50, p95, p99 = np.percentile(np.asarray(latencies), [50, 95, 99])
+    return (float(p50), float(p95), float(p99))
+
+
 def simulate_cluster_open_loop(
     graphs: Mapping[str, CSRGraph | DynamicGraph] | GraphStore,
     requests: list[QueryRequest],
@@ -333,6 +367,7 @@ def simulate_cluster_open_loop(
     scheduler_factory: Callable[[], Scheduler],
     *,
     num_replicas: int = 2,
+    num_workers: int = 1,
     routing: str = "least_outstanding",
     batch_window: float = 0.01,
     max_batch_size: int = 64,
@@ -347,11 +382,22 @@ def simulate_cluster_open_loop(
 ) -> tuple[list[QueryResponse], ClusterBenchReport]:
     """Deterministic virtual-time replay of the clustered service.
 
-    The policy objects are the production ones (`MicroBatcher` windowing
-    re-derived per replica, :class:`ResultCache`,
+    The policy objects are the production ones (the
+    :class:`~repro.serve.batching.MicroBatcher` window built
+    incrementally per replica and batch key, :class:`ResultCache`,
     :class:`AdmissionController`); only the clock is virtual, so equal
     traffic always yields byte-equal responses and the benchmark tier
-    can be gated in CI.
+    can be gated in CI.  A batch is ready when its window elapses or it
+    fills, whichever is first; batches dispatch in MicroBatcher's
+    ``(ready, open, key)`` order, and batch ids count them in that
+    order.
+
+    Each batch-at-a-time replica has ``num_workers`` device slots (the
+    worker threads of a :class:`ClusterPool` replica broker): a
+    dispatched batch starts on the replica's earliest-free slot, lowest
+    index first on ties.  ``num_batches`` and ``batch_occupancy_mean``
+    count the batches that reached a device, with the members still
+    live at dispatch.
 
     ``updates`` schedules mid-stream dynamic-graph merges as
     ``(virtual_time, handle, src_array, dst_array)`` tuples; each bumps
@@ -360,7 +406,8 @@ def simulate_cluster_open_loop(
     snapshot current at its *dispatch* time and its results are cached
     under that snapshot's epoch — in-flight work can never pollute a
     newer epoch.  ``single_broker_seconds`` (total sim-device seconds of
-    :func:`~repro.serve.loadgen.simulate_open_loop` over the same trace)
+    one micro-batching broker over the same trace, i.e. the
+    :func:`~repro.serve.loadgen.simulate_open_loop` preset of this loop)
     feeds the report's speedup; pass 0.0 to skip the comparison.
 
     ``pipeline`` (a :class:`~repro.serve.pipelined.PipelineConfig` with
@@ -368,14 +415,17 @@ def simulate_cluster_open_loop(
     batch-at-a-time execution to a stream device with an in-flight
     admission window.  Responses are bit-identical either way — batches
     still form, snapshot, and execute identically at dispatch time; only
-    the virtual timeline of the device changes.  One semantic nuance:
-    with pipelining on, the pre-execution deadline check uses the
-    batch's flush time (the device-start instant is not known until
-    admission), so queueing delay surfaces as a post-execution timeout
-    instead.
+    the virtual timeline of the device changes.  The stream device is
+    that mode's concurrency model, so it needs ``num_workers=1``.  One
+    semantic nuance: with pipelining on, the pre-execution deadline
+    check uses the batch's flush time (the device-start instant is not
+    known until admission), so queueing delay surfaces as a
+    post-execution timeout instead.
     """
     if num_replicas < 1:
         raise InvalidParameterError("num_replicas must be >= 1")
+    if num_workers < 1:
+        raise InvalidParameterError("num_workers must be >= 1")
     if batch_window < 0:
         raise InvalidParameterError("batch_window must be >= 0")
     if max_batch_size < 1:
@@ -395,6 +445,11 @@ def simulate_cluster_open_loop(
     router = Router(routing, num_replicas)
     pipelined = pipeline is not None and pipeline.enabled
     if pipelined:
+        if num_workers != 1:
+            raise InvalidParameterError(
+                "pipeline= models each replica as one stream device; "
+                "it needs num_workers=1"
+            )
         if executor is None:
             executor = PipelinedExecutor(
                 scheduler_factory, metrics=registry, config=pipeline
@@ -418,11 +473,16 @@ def simulate_cluster_open_loop(
     graph_updates = 0
 
     responses: dict[int, QueryResponse] = {}
+    # Every batch not yet dispatched, in creation order (which breaks
+    # _flush_rank ties like MicroBatcher's stable sort), and the subset
+    # still taking members, by (replica, key).
+    forming: list[_OpenBatch] = []
     open_batches: dict[tuple[int, BatchKey], _OpenBatch] = {}
     completions: list[tuple[float, int, _Completion]] = []
     pipeline_pending: dict[tuple[int, int], _Completion] = {}
     seq = itertools.count()
-    replica_free = np.zeros(num_replicas, dtype=np.float64)
+    # When each device slot of each replica next falls free.
+    slot_free = [[0.0] * num_workers for _ in range(num_replicas)]
     per_replica_sim = [0.0] * num_replicas
     outstanding = [0] * num_replicas
     total_outstanding = 0
@@ -452,13 +512,12 @@ def simulate_cluster_open_loop(
     def dispatch(batch: _OpenBatch, ready: float) -> None:
         nonlocal sim_total, next_batch_id
         replica = batch.replica
+        slots = slot_free[replica]
+        slot = slots.index(min(slots))
         # With pipelining the device-start instant is unknown until the
         # window admits the batch; the pre-execution check then uses the
         # flush time and queueing delay is caught post-execution.
-        start = (
-            ready if pipelined
-            else max(ready, float(replica_free[replica]))
-        )
+        start = ready if pipelined else max(ready, slots[slot])
         batch_id = next_batch_id
         next_batch_id += 1
         live = []
@@ -499,7 +558,7 @@ def simulate_cluster_open_loop(
             return
         execution = executor.execute(graph, [m.request for m in live])
         finish = start + execution.sim_seconds
-        replica_free[replica] = finish
+        slots[slot] = finish
         per_replica_sim[replica] += execution.sim_seconds
         sim_total += execution.sim_seconds
         batch_sizes.append(len(live))
@@ -565,12 +624,15 @@ def simulate_cluster_open_loop(
         graph_updates += 1
 
     def advance(limit: float) -> None:
-        """Play every due event ≤ ``limit`` in virtual-time order.
+        """Play, in virtual-time order, every event due before an
+        arrival at ``limit``: completions and updates due at ``limit``
+        included, flushes due at ``limit`` not.
 
         Simultaneous events follow :func:`event_order`: completions,
         then updates, then flushes (the pinned tie-break contract).
         """
         nonlocal update_ptr
+        stop = event_order(limit, EVENT_FLUSH)
         while True:
             candidates: list[tuple[float, int]] = []
             if pipelined:
@@ -590,18 +652,15 @@ def simulate_cluster_open_loop(
                 candidates.append(event_order(
                     float(pending_updates[update_ptr][0]), EVENT_UPDATE
                 ))
-            if open_batches:
-                flush = min(
-                    open_batches.values(),
-                    key=lambda b: (b.close_time, b.replica, repr(b.key)),
-                )
+            if forming:
+                flush = min(forming, key=_flush_rank)
                 candidates.append(
                     event_order(flush.close_time, EVENT_FLUSH)
                 )
             if not candidates:
                 return
             when, kind = min(candidates)
-            if when > limit:
+            if (when, kind) >= stop:
                 return
             if kind == EVENT_COMPLETION:
                 if pipelined:
@@ -620,7 +679,9 @@ def simulate_cluster_open_loop(
                 apply_stream_update(pending_updates[update_ptr])
                 update_ptr += 1
             else:
-                del open_batches[(flush.replica, flush.key)]
+                forming.remove(flush)
+                if open_batches.get((flush.replica, flush.key)) is flush:
+                    del open_batches[(flush.replica, flush.key)]
                 dispatch(flush, ready=flush.close_time)
 
     order = np.argsort(arrivals, kind="stable")
@@ -683,29 +744,26 @@ def simulate_cluster_open_loop(
             member = _Member(
                 index=i, request=request, arrival=t, deadline=deadline
             )
-            bkey = batch_key(request)
-            open_batch = open_batches.get((replica, bkey))
-            if (
-                open_batch is not None
-                and t <= open_batch.close_time
-                and len(open_batch.members) < max_batch_size
-            ):
-                open_batch.members.append(member)
-                if len(open_batch.members) == max_batch_size:
-                    # Filled before the window elapsed: dispatch at the
-                    # filling arrival, exactly like MicroBatcher.
-                    del open_batches[(replica, bkey)]
-                    dispatch(
-                        open_batch, ready=min(open_batch.close_time, t)
-                    )
-            else:
-                open_batches[(replica, bkey)] = _OpenBatch(
+            # advance(t) flushed every window that closed before t, so
+            # an open batch still admits this arrival.
+            open_key = (replica, batch_key(request))
+            batch = open_batches.get(open_key)
+            if batch is None:
+                batch = _OpenBatch(
                     replica=replica,
-                    key=bkey,
+                    key=open_key[1],
                     open_time=t,
                     close_time=t + batch_window,
-                    members=[member],
+                    members=[],
                 )
+                open_batches[open_key] = batch
+                forming.append(batch)
+            batch.members.append(member)
+            if len(batch.members) == max_batch_size:
+                # Full before its window elapsed (at once, with cap 1):
+                # ready at this arrival, exactly like MicroBatcher.
+                batch.close_time = t
+                del open_batches[open_key]
         advance(float("inf"))
         run_span.set("batches", len(batch_sizes))
         run_span.set("cache_hits", cache.hits)
@@ -842,7 +900,7 @@ class ClusterPool:
         self.graph_updates = 0
         snapshot = self.store.snapshot()
         self.replicas = [
-            QueryBroker(  # sage: allow(SAGE005) - replicas are the internal path
+            QueryBroker(
                 snapshot,
                 scheduler_factory,
                 batch_window=batch_window,
@@ -853,7 +911,6 @@ class ClusterPool:
                 max_retries=max_retries,
                 metrics=self.metrics,
                 clock=clock,
-                _internal=True,
             )
             for _ in range(num_replicas)
         ]

@@ -3,12 +3,14 @@
 Two execution modes share the query generator and the report format:
 
 * :func:`simulate_open_loop` — a **deterministic virtual-time** model of
-  the service: queries arrive on a fixed (seeded) Poisson schedule, the
-  pure :class:`~repro.serve.batching.MicroBatcher` forms the exact same
-  batches every run, and a greedy earliest-free-worker assignment plays
-  the batches onto ``num_workers`` simulated devices.  All times are
-  *simulated* seconds, so the serving benchmark tier can be gated in CI
-  like every other trajectory metric.
+  one micro-batching broker: queries arrive on a fixed (seeded) Poisson
+  schedule and are played through the one-replica preset of
+  :func:`~repro.serve.cluster.simulate_cluster_open_loop` (cache off,
+  admission never binding), which forms the
+  :class:`~repro.serve.batching.MicroBatcher` policy's batches and
+  starts each on the earliest-free of ``num_workers`` simulated
+  devices.  All times are *simulated* seconds, so the serving benchmark
+  tier can be gated in CI like every other trajectory metric.
 * :func:`run_closed_loop` — drives the real threaded
   :class:`~repro.serve.broker.QueryBroker` with ``concurrency`` client
   threads (each submits, waits, repeats).  Wall-clock mode: useful for
@@ -30,11 +32,12 @@ import numpy as np
 
 from repro.analysis.races import instrument as races
 from repro.core.scheduler import Scheduler
-from repro.errors import DeadlineExceededError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.obs import MetricsRegistry
-from repro.serve.batching import MicroBatcher, occupancy_mean
+from repro.serve.admission import AdmissionConfig
 from repro.serve.broker import QueryBroker
+from repro.serve.cluster import _percentiles, simulate_cluster_open_loop
 from repro.serve.executor import BatchExecutor, run_direct
 from repro.serve.request import (
     SOURCE_APPS,
@@ -250,21 +253,6 @@ def sequential_baseline(
     )
 
 
-def _percentiles(responses: list[QueryResponse]) -> tuple[float, float, float]:
-    """p50/p95/p99 latency of the served (``OK``) responses.
-
-    Shed, throttled and failed responses are counted in ``status_counts``
-    only: a shed response's latency of 0 would pull every percentile
-    down under exactly the overload the report is meant to show.
-    """
-    latencies = [r.latency_seconds for r in responses
-                 if r.status is QueryStatus.OK]
-    if not latencies:
-        return (0.0, 0.0, 0.0)
-    p50, p95, p99 = np.percentile(np.asarray(latencies), [50, 95, 99])
-    return (float(p50), float(p95), float(p99))
-
-
 def simulate_open_loop(
     graph: CSRGraph,
     requests: list[QueryRequest],
@@ -274,117 +262,59 @@ def simulate_open_loop(
     batch_window: float,
     max_batch_size: int,
     num_workers: int = 1,
-    num_gpus: int = 1,
     executor: BatchExecutor | None = None,
     sequential_seconds: float | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> tuple[list[QueryResponse], ServeBenchReport]:
-    """Deterministic virtual-time replay of the batched service.
+    """Deterministic virtual-time replay of one micro-batching broker.
 
-    Returns per-query responses (aligned with ``requests``) and the
-    bench report.  ``sequential_seconds`` may be supplied to avoid
-    re-running the oracle when the caller already measured it; pass
-    ``0.0`` to skip speedup accounting entirely.
+    A preset of :func:`~repro.serve.cluster.simulate_cluster_open_loop`:
+    one replica with ``num_workers`` device slots serves every graph
+    handle the requests name from ``graph``, with the result cache off
+    and an admission limit the trace cannot reach.  Returns per-query
+    responses (aligned with ``requests``) and the bench report.
+    ``sequential_seconds`` may be supplied to avoid re-running the
+    oracle when the caller already measured it; pass ``0.0`` to skip
+    speedup accounting entirely.
     """
-    if num_workers < 1:
-        raise InvalidParameterError("num_workers must be >= 1")
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    if arrivals.shape != (len(requests),):
-        raise InvalidParameterError(
-            f"need one arrival per request, got {arrivals.shape} "
-            f"for {len(requests)} requests"
-        )
-    executor = executor or BatchExecutor(scheduler_factory, num_gpus=num_gpus)
-    batcher = MicroBatcher(batch_window, max_batch_size)
-    batches = batcher.form_batches(list(zip(arrivals.tolist(), requests)))
-
-    responses: dict[int, QueryResponse] = {}
-    worker_free = np.zeros(num_workers, dtype=np.float64)
-    sim_total = 0.0
-    for batch in batches:
-        worker = int(np.argmin(worker_free))
-        start = max(batch.ready_time, float(worker_free[worker]))
-        live = []
-        for item in batch.items:
-            deadline = (
-                item.arrival + item.request.deadline_seconds
-                if item.request.deadline_seconds is not None else None
-            )
-            if deadline is not None and start > deadline:
-                responses[item.index] = QueryResponse(
-                    request_id=item.index,
-                    app=item.request.app,
-                    status=QueryStatus.TIMEOUT,
-                    error="deadline exceeded before execution",
-                    error_type=DeadlineExceededError.__name__,
-                    batch_id=batch.batch_id,
-                    latency_seconds=start - item.arrival,
-                )
-            else:
-                live.append((item, deadline))
-        if not live:
-            continue
-        execution = executor.execute(graph, [item.request for item, _ in live])
-        finish = start + execution.sim_seconds
-        worker_free[worker] = finish
-        sim_total += execution.sim_seconds
-        share = execution.sim_seconds / len(live)
-        for (item, deadline), result in zip(live, execution.results):
-            if deadline is not None and finish > deadline:
-                responses[item.index] = QueryResponse(
-                    request_id=item.index,
-                    app=item.request.app,
-                    status=QueryStatus.TIMEOUT,
-                    error="deadline exceeded after execution",
-                    error_type=DeadlineExceededError.__name__,
-                    batch_id=batch.batch_id,
-                    batch_size=len(live),
-                    latency_seconds=finish - item.arrival,
-                )
-            else:
-                responses[item.index] = QueryResponse(
-                    request_id=item.index,
-                    app=item.request.app,
-                    status=QueryStatus.OK,
-                    result=result,
-                    batch_id=batch.batch_id,
-                    batch_size=len(live),
-                    sim_seconds=share,
-                    latency_seconds=finish - item.arrival,
-                )
-
-    ordered = [responses[i] for i in range(len(requests))]
+    limit = max(1, len(requests))
+    # A GraphStore needs one handle even when the traffic is empty.
+    handles = {request.graph: graph for request in requests} or {"": graph}
+    responses, cluster = simulate_cluster_open_loop(
+        handles,
+        requests,
+        arrivals,
+        scheduler_factory,
+        num_replicas=1,
+        num_workers=num_workers,
+        routing="round_robin",
+        batch_window=batch_window,
+        max_batch_size=max_batch_size,
+        cache_capacity=0,
+        # Every request fits under the limit, and min == max keeps
+        # deadline misses (AIMD overload signals) from tightening it.
+        admission=AdmissionConfig(
+            max_concurrency=limit, min_concurrency=limit
+        ),
+        executor=executor,
+    )
     if sequential_seconds is None:
         sequential_seconds = sequential_baseline(
             graph, requests, scheduler_factory
         )
-    makespan = max(
-        (r.latency_seconds + float(arrivals[i])
-         for i, r in enumerate(ordered)),
-        default=0.0,
-    )
-    counts: dict[str, int] = {}
-    for response in ordered:
-        counts[response.status.value] = counts.get(
-            response.status.value, 0
-        ) + 1
-    p50, p95, p99 = _percentiles(ordered)
     report = ServeBenchReport(
         mode="open-loop",
         num_queries=len(requests),
-        num_batches=len(batches),
-        batch_occupancy_mean=occupancy_mean(batches),
-        makespan_seconds=makespan,
+        num_batches=cluster.num_batches,
+        batch_occupancy_mean=cluster.batch_occupancy_mean,
+        makespan_seconds=cluster.makespan_seconds,
         sequential_seconds=float(sequential_seconds),
-        latency_p50=p50,
-        latency_p95=p95,
-        latency_p99=p99,
-        status_counts=counts,
-        sim_seconds_total=sim_total,
+        latency_p50=cluster.latency_p50,
+        latency_p95=cluster.latency_p95,
+        latency_p99=cluster.latency_p99,
+        status_counts=cluster.status_counts,
+        sim_seconds_total=cluster.sim_seconds_total,
     )
-    if metrics is not None:
-        publish_report_gauges(metrics, report)
-    return ordered, report
+    return responses, report
 
 
 def run_closed_loop(
@@ -413,7 +343,7 @@ def run_closed_loop(
     responses: list[QueryResponse | None] = [None] * len(requests)
     cursor = {"next": 0}
     cursor_lock = races.make_lock("loadgen.cursor")
-    broker = QueryBroker(  # sage: allow(SAGE005) - sanctioned internal path
+    broker = QueryBroker(
         {graph_name: graph},
         scheduler_factory,
         batch_window=batch_window,
@@ -422,7 +352,6 @@ def run_closed_loop(
         queue_capacity=queue_capacity,
         num_gpus=num_gpus,
         metrics=metrics,
-        _internal=True,
     )
 
     def client() -> None:

@@ -20,7 +20,9 @@ from repro.obs import MetricsRegistry
 from repro.serve import (
     ROUTING_POLICIES,
     AdmissionConfig,
+    BatchExecutor,
     ClusterPool,
+    PipelineConfig,
     QueryRequest,
     QueryStatus,
     Router,
@@ -176,6 +178,159 @@ class TestSimulatorDifferential:
         p50, p95, p99 = np.percentile(ok, [50, 95, 99])
         assert report.latency_p50 == p50 == pytest.approx(9.8e-3, abs=1e-4)
         assert (report.latency_p95, report.latency_p99) == (p95, p99)
+
+
+class TestDeviceSlots:
+    """Batch formation and device-slot assignment, pinned by hand."""
+
+    def test_cap_one_batch_dispatches_at_its_opening_arrival(self):
+        """With ``max_batch_size=1`` a batch is full the moment it
+        opens, so it must dispatch then — not wait out the window and be
+        overwritten by the next same-key arrival, losing its query."""
+        graph = rmat(10, 8, seed=0)
+        requests = generate_queries("g", graph.num_nodes, 24, seed=0)
+        arrivals = open_loop_arrivals(24, 40.0, seed=0)
+        for replicas in (1, 2):
+            responses, report = simulate_cluster_open_loop(
+                {"g": graph}, requests, arrivals, scheduler_factory,
+                num_replicas=replicas, batch_window=0.05,
+                max_batch_size=1, cache_capacity=0,
+            )
+            assert report.num_batches == 24
+            assert report.status_counts == {"ok": 24}
+            for request, response in zip(requests, responses):
+                assert response.batch_size == 1
+                # No window wait: the latency is queueing plus device.
+                assert response.latency_seconds < 0.05
+                assert_response_sound(response, graph, request)
+
+    def test_third_batch_starts_on_the_slot_that_frees_first(
+        self, serve_graph
+    ):
+        """One replica, two device slots, three one-query batches of
+        2 s, 1 s and 0.5 s arriving at 0, 0.25 and 0.5 s.  Slot 0 runs
+        the first batch over [0, 2], slot 1 the second over [0.25, 1.25];
+        the third waits for slot 1 (free at 1.25, before slot 0) and runs
+        over [1.25, 1.75].  Lowest-index or round-robin slot choice
+        would start it at 2.0 instead."""
+        seconds = {0: 2.0, 1: 1.0, 2: 0.5}
+
+        class PinnedExecutor(BatchExecutor):
+            def execute(self, graph, requests):
+                execution = super().execute(graph, requests)
+                execution.sim_seconds = seconds[requests[0].source]
+                return execution
+
+        requests = [QueryRequest("bfs", "g", source) for source in range(3)]
+        responses, report = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, [0.0, 0.25, 0.5],
+            scheduler_factory, num_replicas=1, num_workers=2,
+            batch_window=0.0, max_batch_size=1, cache_capacity=0,
+            executor=PinnedExecutor(scheduler_factory),
+        )
+        assert [r.latency_seconds for r in responses] == [2.0, 1.0, 1.25]
+        assert [r.batch_id for r in responses] == [0, 1, 2]
+        assert report.makespan_seconds == 2.0
+        assert report.per_replica_sim_seconds == [3.5]
+        for request, response in zip(requests, responses):
+            assert_response_sound(response, serve_graph, request)
+
+    def test_slot_count_validated(self, serve_graph):
+        requests = [QueryRequest("bfs", "g", 0)]
+        with pytest.raises(InvalidParameterError):
+            simulate_cluster_open_loop(
+                {"g": serve_graph}, requests, [0.0], scheduler_factory,
+                num_workers=0,
+            )
+        # The stream device is the pipelined mode's concurrency model.
+        with pytest.raises(InvalidParameterError):
+            simulate_cluster_open_loop(
+                {"g": serve_graph}, requests, [0.0], scheduler_factory,
+                num_workers=2, pipeline=PipelineConfig(in_flight=2),
+            )
+
+
+class TestSingleBrokerPreset:
+    """``simulate_open_loop`` is one replica of the cluster loop with the
+    cache off and an admission limit the trace cannot reach."""
+
+    @pytest.mark.parametrize(
+        "workers, window, cap, deadline",
+        [(1, 0.0, 64, None), (2, 0.05, 4, None), (3, 0.5, 1, None),
+         (2, 0.05, 4, 0.01)],
+        ids=["w1-nowindow", "w2", "w3-cap1", "w2-deadline"],
+    )
+    def test_responses_match_the_cluster_loop(
+        self, serve_graph, workers, window, cap, deadline
+    ):
+        requests, arrivals = _workload(serve_graph, n=24, rate=400.0)
+        requests = [
+            QueryRequest(r.app, r.graph, r.source, r.params,
+                         deadline_seconds=deadline)
+            for r in requests
+        ]
+        preset, report = simulate_open_loop(
+            serve_graph, requests, arrivals, scheduler_factory,
+            batch_window=window, max_batch_size=cap, num_workers=workers,
+            sequential_seconds=0.0,
+        )
+        cluster, expected = simulate_cluster_open_loop(
+            {"g": serve_graph}, requests, arrivals, scheduler_factory,
+            num_replicas=1, num_workers=workers, routing="round_robin",
+            batch_window=window, max_batch_size=cap, cache_capacity=0,
+            admission=AdmissionConfig(
+                max_concurrency=len(requests),
+                min_concurrency=len(requests),
+            ),
+        )
+        for request, a, b in zip(requests, preset, cluster):
+            assert (a.status, a.error_type, a.batch_id, a.batch_size) == \
+                (b.status, b.error_type, b.batch_id, b.batch_size)
+            assert (a.sim_seconds, a.latency_seconds) == \
+                (b.sim_seconds, b.latency_seconds)
+            if a.status is QueryStatus.OK:
+                assert_bit_identical(a.result, b.result, label=request.app)
+            assert_response_sound(a, serve_graph, request)
+        assert report.status_counts == expected.status_counts
+        assert report.num_batches == expected.num_batches
+        assert report.makespan_seconds == expected.makespan_seconds
+        assert report.sim_seconds_total == expected.sim_seconds_total
+        assert (report.latency_p50, report.latency_p95,
+                report.latency_p99) == (expected.latency_p50,
+                                        expected.latency_p95,
+                                        expected.latency_p99)
+
+    def test_workers_are_the_replica_device_slots(self, serve_graph):
+        """The two-slot schedule of ``TestDeviceSlots``, through the
+        preset: the third batch starts on the worker that frees first."""
+        seconds = {0: 2.0, 1: 1.0, 2: 0.5}
+
+        class PinnedExecutor(BatchExecutor):
+            def execute(self, graph, requests):
+                execution = super().execute(graph, requests)
+                execution.sim_seconds = seconds[requests[0].source]
+                return execution
+
+        requests = [QueryRequest("bfs", "g", source) for source in range(3)]
+        responses, report = simulate_open_loop(
+            serve_graph, requests, np.array([0.0, 0.25, 0.5]),
+            scheduler_factory, batch_window=0.0, max_batch_size=1,
+            num_workers=2, executor=PinnedExecutor(scheduler_factory),
+            sequential_seconds=0.0,
+        )
+        assert [r.latency_seconds for r in responses] == [2.0, 1.0, 1.25]
+        assert report.makespan_seconds == 2.0
+        assert report.sim_seconds_total == 3.5
+        assert report.num_batches == 3
+
+    def test_empty_trace(self, serve_graph):
+        responses, report = simulate_open_loop(
+            serve_graph, [], np.array([]), scheduler_factory,
+            batch_window=0.05, max_batch_size=4, sequential_seconds=0.0,
+        )
+        assert responses == []
+        assert (report.num_queries, report.num_batches) == (0, 0)
+        assert report.makespan_seconds == 0.0
 
 
 class TestMidStreamUpdates:

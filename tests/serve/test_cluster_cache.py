@@ -105,17 +105,17 @@ class TestGraphStore:
         assert store.epoch("g") == 0
         assert store.fingerprint("g") == graph_fingerprint(graph)
         with pytest.raises(InvalidParameterError):
-            store.apply_update("g", [0], [1])
+            store.apply_edges("g", [0], [1])
 
     def test_dynamic_updates_bump_epoch_and_fingerprint(self):
         base = cached_rmat(5, 4, 1)
         store = GraphStore({"g": DynamicGraph(base)})
         seen: list[tuple[str, int]] = []
         store.subscribe(
-            lambda handle, csr, epoch: seen.append((handle, epoch))
+            lambda handle, csr, epoch, delta: seen.append((handle, epoch))
         )
         before = store.fingerprint("g")
-        epoch = store.apply_update("g", [0], [base.num_nodes - 1])
+        epoch = store.apply_edges("g", [0], [base.num_nodes - 1])
         assert epoch == 1
         assert store.epoch("g") == 1
         assert store.fingerprint("g") != before
@@ -126,7 +126,7 @@ class TestGraphStore:
         store = GraphStore({"g": DynamicGraph(base)})
         request = QueryRequest("bfs", "g", 0)
         first = store.key_for(request)
-        store.apply_update("g", [0], [base.num_nodes - 1])
+        store.apply_edges("g", [0], [base.num_nodes - 1])
         assert store.key_for(request) != first
 
     def test_unknown_handle_rejected(self):

@@ -33,7 +33,6 @@ from repro.serve import (
     simulate_open_loop,
 )
 from tests.serve.conftest import (
-    assert_bit_identical,
     assert_response_sound,
     scheduler_factory,
 )
@@ -128,21 +127,31 @@ class TestEquivalenceProperties:
             assert_response_sound(response, graph, request)
         assert sum(report.status_counts.values()) == len(requests)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
-        arrivals=st.lists(
-            st.floats(min_value=0.0, max_value=10.0,
-                      allow_nan=False, allow_infinity=False),
+        traffic=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=10.0,
+                          allow_nan=False, allow_infinity=False),
+                st.sampled_from(["g", "h", "k"]),
+            ),
             min_size=1, max_size=30,
         ),
         window=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
         cap=st.integers(min_value=1, max_value=8),
+        num_workers=st.integers(min_value=1, max_value=3),
     )
-    def test_batcher_partitions_exactly_once(self, arrivals, window, cap):
+    def test_batcher_partitions_exactly_once(
+        self, traffic, window, cap, num_workers
+    ):
         """The micro-batcher is a partition: every query lands in exactly
-        one batch, caps are respected, members fit the opener's window."""
+        one batch, caps are respected, members fit the opener's window.
+        The simulator forms exactly those batches: every response
+        carries its query's ``form_batches`` batch id and size."""
+        arrivals = [t for t, _ in traffic]
         requests = [
-            QueryRequest(app="bfs", graph="g", source=0) for _ in arrivals
+            QueryRequest(app="bfs", graph=handle, source=0)
+            for _, handle in traffic
         ]
         batches = MicroBatcher(window, cap).form_batches(
             list(zip(arrivals, requests))
@@ -155,6 +164,20 @@ class TestEquivalenceProperties:
             assert all(
                 item.arrival <= opener + window for item in batch.items
             )
+
+        responses, report = simulate_open_loop(
+            cached_rmat(4, 4, 0), requests, np.asarray(arrivals),
+            scheduler_factory, batch_window=window, max_batch_size=cap,
+            num_workers=num_workers, sequential_seconds=0.0,
+        )
+        batch_of = {
+            item.index: batch for batch in batches for item in batch.items
+        }
+        assert [(r.batch_id, r.batch_size) for r in responses] == [
+            (batch_of[i].batch_id, batch_of[i].size)
+            for i in range(len(requests))
+        ]
+        assert report.num_batches == len(batches)
 
 
 class _GatedExecutor(BatchExecutor):

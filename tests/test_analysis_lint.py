@@ -226,73 +226,23 @@ class TestSAGE004:
         assert found == []
 
 
-class TestSAGE005:
-    MOD = "src/repro/bench/tables.py"
+class TestRuleSet:
+    def test_rule_codes(self):
+        assert sorted(RULES) == ["SAGE001", "SAGE002", "SAGE003", "SAGE004", "SAGE006", "SAGE007"]
 
-    def test_run_app_sanitizer_keyword_flagged(self, tmp_path):
-        found = _lint_source(tmp_path, self.MOD, """\
+    def test_supported_serving_spellings_pass(self, tmp_path):
+        """Direct broker construction and the batched store updates are
+        supported spellings, not lint findings."""
+        found = _lint_source(tmp_path, "src/repro/bench/tables.py", """\
             from repro.core import run_app
-
-            def audit(graph, app, sched, san):
-                return run_app(graph, app, sched, sanitizer=san)
-        """)
-        assert _rules(found) == ["SAGE005"]
-        assert "run_app" in found[0].message
-
-    def test_run_app_without_sanitizer_passes(self, tmp_path):
-        found = _lint_source(tmp_path, self.MOD, """\
-            from repro.core import run_app
-
-            def go(graph, app, sched):
-                return run_app(graph, app, sched, source=0)
-        """)
-        assert found == []
-
-    def test_direct_broker_construction_flagged(self, tmp_path):
-        found = _lint_source(tmp_path, self.MOD, """\
-            from repro.serve import QueryBroker
-            import repro.serve.broker as broker_mod
-
-            def start(graphs, factory):
-                a = QueryBroker(graphs, factory)
-                b = broker_mod.QueryBroker(graphs, factory)
-                return a, b
-        """)
-        assert _rules(found) == ["SAGE005", "SAGE005"]
-
-    def test_inline_allow_comment(self, tmp_path):
-        found = _lint_source(tmp_path, self.MOD, """\
             from repro.serve import QueryBroker
 
-            def start(graphs, factory):
-                return QueryBroker(  # sage: allow(SAGE005)
-                    graphs, factory,
-                )
-        """)
-        assert found == []
-
-    def test_api_serve_passes(self, tmp_path):
-        found = _lint_source(tmp_path, self.MOD, """\
-            from repro import api
-
-            def start(graph):
-                return api.serve(graph)
-        """)
-        assert found == []
-
-    def test_apply_update_method_flagged(self, tmp_path):
-        found = _lint_source(tmp_path, self.MOD, """\
-            def stream(store, src, dst):
-                return store.apply_update("g", src, dst)
-        """)
-        assert _rules(found) == ["SAGE005"]
-        assert "apply_edges" in found[0].message
-
-    def test_apply_edges_and_apply_delta_pass(self, tmp_path):
-        found = _lint_source(tmp_path, self.MOD, """\
-            def stream(store, src, dst, delta):
-                store.apply_edges("g", src, dst)
-                return store.apply_delta("g", delta)
+            def start(graphs, factory, store, app, sched, delta):
+                broker = QueryBroker(graphs, factory)
+                store.apply_edges("g", [0], [1])
+                store.apply_delta("g", delta)
+                run_app(graphs["g"], app, sched, source=0)
+                return broker
         """)
         assert found == []
 

@@ -19,7 +19,7 @@ import pytest
 from repro.analysis import FINDING_CODES, Finding, Sanitizer, SanitizerError
 from repro.apps import BFSApp, PageRankApp
 from repro.cli import main
-from repro.core import SageScheduler, run_app
+from repro.core import SageScheduler, TraversalPipeline, run_app
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 from repro.gpusim.cost import KernelStats
@@ -223,11 +223,11 @@ class TestCleanRuns:
 
     def test_reordering_run_is_clean(self, skewed_graph):
         sanitizer = Sanitizer()
-        result = run_app(
-            skewed_graph, PageRankApp(max_iterations=10),
-            SageScheduler(sampling_reorder=True), source=0,
+        result = TraversalPipeline(
+            skewed_graph,
+            SageScheduler(sampling_reorder=True),
             sanitizer=sanitizer,
-        )
+        ).run(PageRankApp(max_iterations=10), 0)
         assert sanitizer.clean, sanitizer.format_summary()
         assert result.iterations > 0
 
@@ -250,8 +250,12 @@ class TestZeroPerturbation:
         sanitized = MetricsRegistry()
         r1 = run_app(skewed_graph, BFSApp(), SageScheduler(), source=0,
                      metrics=plain)
-        r2 = run_app(skewed_graph, BFSApp(), SageScheduler(), source=0,
-                     metrics=sanitized, sanitizer=Sanitizer())
+        r2 = TraversalPipeline(
+            skewed_graph,
+            SageScheduler(),
+            metrics=sanitized,
+            sanitizer=Sanitizer(),
+        ).run(BFSApp(), 0)
         assert r1.seconds == r2.seconds
         assert r1.iterations == r2.iterations
         assert r1.edges_traversed == r2.edges_traversed
@@ -263,8 +267,12 @@ class TestZeroPerturbation:
 
     def test_sanitizer_counters_flow_into_obs(self, skewed_graph):
         metrics = MetricsRegistry()
-        run_app(skewed_graph, BFSApp(), SageScheduler(), source=0,
-                metrics=metrics, sanitizer=Sanitizer())
+        TraversalPipeline(
+            skewed_graph,
+            SageScheduler(),
+            metrics=metrics,
+            sanitizer=Sanitizer(),
+        ).run(BFSApp(), 0)
         counters = metrics.report()["counters"]
         assert counters["sanitizer.levels_checked"] > 0
         assert counters["sanitizer.edges_checked"] > 0

@@ -151,6 +151,23 @@ class TestBench:
         assert isinstance(report, ServeBenchReport)
         assert report.status_counts.get("ok") == 12
 
+    def test_single_broker_publishes_serve_gauges(self, graph):
+        metrics = MetricsRegistry()
+        report = api.bench(graph, num_queries=12, seed=3, metrics=metrics)
+        snapshot = metrics.report()
+        gauges = snapshot["gauges"]
+        assert gauges["serve.latency_p95"] == report.latency_p95
+        assert gauges["serve.batch_occupancy_mean"] == \
+            report.batch_occupancy_mean
+        assert gauges["serve.speedup_vs_sequential"] == \
+            report.speedup_vs_sequential
+        # The single-broker preset runs the cluster loop without a
+        # registry: no cluster.* series leak into the caller's metrics.
+        assert not [
+            name for kind in ("counters", "gauges")
+            for name in snapshot[kind] if name.startswith("cluster.")
+        ]
+
     def test_cluster_report_is_baselined(self, graph):
         report = api.bench(graph, num_queries=12, replicas=2, seed=3)
         assert isinstance(report, ClusterBenchReport)

@@ -64,7 +64,7 @@ class TestDynamicGraph:
     def test_listener_fired_on_merge(self, tiny_graph):
         dyn = DynamicGraph(tiny_graph)
         seen = []
-        dyn.add_listener(lambda g: seen.append(g.num_edges))
+        dyn.add_listener(lambda g, delta: seen.append(g.num_edges))
         dyn.insert_edges(np.array([1]), np.array([0]))
         dyn.flush()
         assert seen == [tiny_graph.num_edges + 1]

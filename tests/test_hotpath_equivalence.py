@@ -676,8 +676,10 @@ class TestDerivedCacheThreads:
 
         def worker():
             start.wait(timeout=60)
-            results.append(node_costs(graph, 256, DEFAULT_MIN_TILE, 8, True).value_sectors)
-            results.append(graph.all_nodes())
+            column = node_costs(graph, 256, DEFAULT_MIN_TILE, 8, True).value_sectors
+            # One append per thread: two appends could interleave with
+            # another thread's and break the pairing below.
+            results.append((column, graph.all_nodes()))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -690,8 +692,8 @@ class TestDerivedCacheThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(results) == 16
-        column, nodes = results[0::2], results[1::2]
+        assert len(results) == 8
+        column, nodes = [pair[0] for pair in results], [pair[1] for pair in results]
         assert all(value is column[0] for value in column)
         assert all(value is nodes[0] for value in nodes)
 

@@ -1,8 +1,7 @@
 """Lint-style pin: all Beamer thresholds flow through HybridConfig.
 
-The deprecated ``direction_optimized_bfs(..., alpha=, beta=)`` spelling
-survives for callers, but the library itself must route every threshold
-through :class:`~repro.core.hybrid.HybridConfig` — otherwise the tuner
+The library must route every threshold through
+:class:`~repro.core.hybrid.HybridConfig` — otherwise the tuner
 could optimize ``alpha``/``beta`` while some call site silently pins a
 stray literal.  These are AST walks over ``src/``, so a violation names
 its file and line.
